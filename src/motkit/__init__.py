@@ -11,7 +11,7 @@ from .errors import (InputError, MotkitError, NotInConvexOrderError,
 from .measures import (DiscreteMeasure, GridDensity, OrderReport,
                        call_function, common_mass_split, convex_order_check,
                        moments, quantize)
-from .mot1d import (CostSpec, Coupling, SeparationInterval, TransportMaps,
+from .mot1d import (Coupling, SeparationInterval, TransportMaps,
                     cost, coupling_matrix, detect_separation, is_symmetric,
                     reflection_residual, solve_sweep, symmetric_solve)
 from .lp import LpSolution, MotLp, diagonal_mass, solve_lp, uniqueness_probe
@@ -29,7 +29,7 @@ from .verify import (DeformationInstance, ForbiddenConfig, ValidationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostSpec", "Coupling", "DeformationInstance", "DiscreteMeasure",
+    "Coupling", "DeformationInstance", "DiscreteMeasure",
     "ForbiddenConfig", "GridDensity", "InputError", "LiftedCoupling",
     "LpSolution", "MotLp", "MotkitError", "NotInConvexOrderError",
     "OrderReport", "RadialAtoms", "RadialProfile", "SeparationError",

@@ -18,8 +18,9 @@ from .errors import (InputError, MotkitError, NotInConvexOrderError,
 from . import lp as lp_mod
 from .measures import (as_discrete, common_mass_split, convex_order_check,
                        load_marginal_pair)
-from .mot1d import (Coupling, cost, detect_separation, read_coupling_json,
-                    solve_sweep, write_coupling_json, write_maps_csv)
+from .mot1d import (Coupling, check_exponent, cost, detect_separation,
+                    read_coupling_json, solve_sweep, write_coupling_json,
+                    write_maps_csv)
 from .radial import load_radial_pair, sample_lifted, solve_radial
 from .verify import (check_decreasing, curve_is_constant,
                      curve_is_strictly_decreasing, deformation_curve,
@@ -40,11 +41,6 @@ def _emit(doc: dict, path: str | None):
     print(text)
 
 
-def _require_p(p: float):
-    if not (0.0 < p <= 1.0):
-        raise InputError(f"cost exponent p={p} outside (0, 1]")
-
-
 def cmd_check_order(args) -> int:
     mu, nu = load_marginal_pair(args.input)
     report = convex_order_check(as_discrete(mu), as_discrete(nu), tol=args.tol)
@@ -53,7 +49,7 @@ def cmd_check_order(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _require_p(args.p)
+    check_exponent(args.p)
     mu, nu = load_marginal_pair(args.input)
     mu, nu = as_discrete(mu), as_discrete(nu)
     common, mu_bar, nu_bar = common_mass_split(mu, nu)
@@ -96,7 +92,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solve_radial(args) -> int:
-    _require_p(args.p)
     dim, mu, nu = load_radial_pair(args.input)
     lifted, c1 = solve_radial(mu, nu, args.p, n=args.n)
     cd = lifted.cost_ddim(args.p)
@@ -139,7 +134,7 @@ def cmd_verify(args) -> int:
     pi, _, maps = read_coupling_json(args.coupling)
     mu, nu = load_marginal_pair(args.marginals)
     mu, nu = as_discrete(mu), as_discrete(nu)
-    rep = validate_coupling(pi, mu, nu, tol=args.tol)
+    rep = validate_coupling(pi, mu, nu)
     forbidden = detect_forbidden(pi)
     decreasing = None if maps is None else check_decreasing(maps)
     doc = {
@@ -177,7 +172,7 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _require_p(args.p)
+    check_exponent(args.p)
     mu, nu = load_marginal_pair(args.input)
     sol = lp_mod.solve_lp(as_discrete(mu), as_discrete(nu), args.p, sense=args.sense)
     if sol.status == "infeasible":

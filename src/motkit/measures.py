@@ -4,8 +4,15 @@ Conventions
 -----------
 A measure is a finite list of atoms (position, mass) with every mass > 0.
 Positions are scalars for dim=1 (kept strictly increasing) or d-vectors for
-dim>1. Atoms closer than ``POSITION_TOL`` are merged at construction, at the
-mass-weighted mean position, so first moments survive the merge exactly.
+dim>1 (kept in lexicographic order).
+
+One rule decides when two positions are the same atom: their max-abs
+distance is at most ``POSITION_TOL``. `group_atoms` applies it as a chain
+rule; construction merges each group into one atom at the mass-weighted
+mean position, so first moments survive the merge exactly, and coupling
+rows group their sources the same way. `nearest_atom` credits each point to
+the nearest atom within the tolerance, and never to two; the common-mass
+split, coupling matrices and coupling validation all match through it.
 
 Convex order on the line is decided through call functions: with equal total
 mass and equal mean, mu precedes nu iff the gap
@@ -29,55 +36,99 @@ POSITION_TOL = 1e-12   # absolute merge tolerance for atom positions
 MASS_TOL = 1e-10       # default tolerance on masses / call-function gaps
 
 
-def _merge_sorted_1d(positions: np.ndarray, masses: np.ndarray):
-    """Merge atoms whose positions lie within POSITION_TOL (inputs sorted)."""
-    if len(positions) == 0:
-        return positions, masses
-    breaks = np.nonzero(np.diff(positions) > POSITION_TOL)[0] + 1
-    groups = np.split(np.arange(len(positions)), breaks)
-    out_pos = np.empty(len(groups))
-    out_mass = np.empty(len(groups))
-    for g, idx in enumerate(groups):
-        if len(idx) == 1:   # keep untouched positions bit-exact
-            out_pos[g] = positions[idx[0]]
-            out_mass[g] = masses[idx[0]]
-            continue
-        w = masses[idx]
-        out_mass[g] = w.sum()
-        out_pos[g] = float(np.dot(positions[idx], w) / out_mass[g])
-    return out_pos, out_mass
+def _as_rows(points) -> np.ndarray:
+    """Positions as an (n, d) array; scalar positions become one column."""
+    pts = np.asarray(points, dtype=float)
+    return pts.reshape(len(pts), int(np.prod(pts.shape[1:])))
 
 
-def _merge_nd(positions: np.ndarray, masses: np.ndarray):
-    """Pairwise merge for vector atoms (desk-scale O(n^2) union by proximity)."""
-    n = len(positions)
-    parent = list(range(n))
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """All pairs (k, i) with lo[k] <= i < hi[k], as two index arrays."""
+    counts = hi - lo
+    k = np.repeat(np.arange(len(lo)), counts)
+    i = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    return k, i
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(positions[i] - positions[j])) <= POSITION_TOL:
-                parent[find(j)] = find(i)
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    out_pos = []
-    out_mass = []
-    for idx in clusters.values():
-        if len(idx) == 1:
-            out_mass.append(masses[idx[0]])
-            out_pos.append(positions[idx[0]])
-            continue
-        w = masses[idx]
-        out_mass.append(w.sum())
-        out_pos.append(np.average(positions[idx], axis=0, weights=w))
-    order = np.lexsort(np.asarray(out_pos).T[::-1])
-    return np.asarray(out_pos)[order], np.asarray(out_mass)[order]
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component (edges i[k]-j[k])."""
+    lab = np.arange(n)
+    while True:
+        new = lab.copy()
+        np.minimum.at(new, i, lab[j])
+        np.minimum.at(new, j, lab[i])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+# The atom index: the one rule by which positions are "the same atom". The
+# distance is max-abs (Chebyshev), which is |x - y| in one dimension. Any pair
+# within POSITION_TOL has first coordinates within the candidate window
+# searched below; the window is twice as wide so rounding cannot drop a pair.
+
+def group_atoms(points) -> np.ndarray:
+    """Group label of each point under the chain rule.
+
+    Points within POSITION_TOL of each other share a group, and so do chains
+    of such points. Labels run 0..G-1 in lexicographic order of each group's
+    first point; in one dimension they increase with the position.
+    """
+    pts = _as_rows(points)
+    if len(pts) == 0:
+        return np.zeros(0, dtype=np.intp)
+    order = np.lexsort(pts.T[::-1])
+    srt = pts[order]
+    # exact repeats share a row of `uniq`, so they cost no candidate pairs
+    fresh = np.concatenate(([True], np.any(srt[1:] != srt[:-1], axis=1)))
+    uniq = srt[fresh]
+    hi = np.searchsorted(uniq[:, 0], uniq[:, 0] + 2 * POSITION_TOL, side="right")
+    i, j = _ranges(np.arange(1, len(uniq) + 1), hi)
+    near = np.abs(uniq[i] - uniq[j]).max(axis=1) <= POSITION_TOL
+    comp = _components(len(uniq), i[near], j[near])
+    labels = np.empty(len(pts), dtype=np.intp)
+    labels[order] = np.unique(comp, return_inverse=True)[1][np.cumsum(fresh) - 1]
+    return labels
+
+
+def nearest_atom(atoms, points) -> np.ndarray:
+    """Index of the atom nearest each point, or -1 where no atom lies within
+    POSITION_TOL. Ties go to the lower atom index, so every point is
+    credited to exactly one atom."""
+    a, q = _as_rows(atoms), _as_rows(points)
+    order = np.argsort(a[:, 0], kind="stable")
+    key = a[order, 0]
+    lo = np.searchsorted(key, q[:, 0] - 2 * POSITION_TOL, side="left")
+    hi = np.searchsorted(key, q[:, 0] + 2 * POSITION_TOL, side="right")
+    k, i = _ranges(lo, hi)
+    cand = order[i]
+    dist = np.abs(q[k] - a[cand]).max(axis=1)
+    near = dist <= POSITION_TOL
+    k, cand, dist = k[near], cand[near], dist[near]
+    best = np.lexsort((cand, dist, k))
+    k, cand = k[best], cand[best]
+    first = np.diff(k, prepend=-1) != 0
+    out = np.full(len(q), -1, dtype=np.intp)
+    out[k[first]] = cand[first]
+    return out
+
+
+def _merge_groups(positions: np.ndarray, masses: np.ndarray):
+    """One atom per group of `group_atoms`, at the mass-weighted mean of its
+    members, in lexicographic order. Lone atoms keep their exact position."""
+    labels = group_atoms(positions)
+    order = np.lexsort((*_as_rows(positions).T[::-1], labels))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels[order])) + 1))
+    ends = np.append(starts[1:], len(order))
+    out_pos = positions[order[starts]]
+    out_mass = masses[order[starts]]
+    for g in np.flatnonzero(ends - starts > 1):
+        idx = order[starts[g]:ends[g]]
+        out_mass[g] = masses[idx].sum()
+        out_pos[g] = np.dot(masses[idx], positions[idx]) / out_mass[g]
+    final = np.lexsort(_as_rows(out_pos).T[::-1])
+    return out_pos[final], out_mass[final]
 
 
 @dataclass(frozen=True)
@@ -110,11 +161,7 @@ class DiscreteMeasure:
         if np.any(w <= 0):
             raise InputError("every atom mass must be > 0")
         if len(pos):
-            if self.dim == 1:
-                order = np.argsort(pos, kind="stable")
-                pos, w = _merge_sorted_1d(pos[order], w[order])
-            else:
-                pos, w = _merge_nd(pos, w)
+            pos, w = _merge_groups(pos, w)
         pos.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -259,49 +306,31 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
 def common_mass_split(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Split into (common, mu_bar, nu_bar) with common = pointwise min.
 
-    Atom positions are matched within POSITION_TOL. The residuals satisfy
-    mu = common + mu_bar, nu = common + nu_bar and share no atom position.
+    Each mu atom is matched to its nearest nu atom (`nearest_atom`); a nu
+    atom matched by several mu atoms serves them in order. The common part
+    sits at the mu positions. The residuals satisfy mu = common + mu_bar and
+    nu = common + nu_bar in mass, and no residual atom of one lies within
+    POSITION_TOL of a residual atom of the other.
     """
     if mu.dim != nu.dim:
         raise InputError("measures must share the same dim")
     dim = mu.dim
-    mu_pos, mu_w = mu.positions, mu.masses.copy()
-    nu_pos, nu_w = nu.positions, nu.masses.copy()
-    common = []
-    if dim == 1:
-        i = j = 0
-        while i < len(mu_pos) and j < len(nu_pos):
-            d = mu_pos[i] - nu_pos[j]
-            if abs(d) <= POSITION_TOL:
-                c = min(mu_w[i], nu_w[j])
-                common.append((mu_pos[i], c))
-                mu_w[i] -= c
-                nu_w[j] -= c
-                i += 1
-                j += 1
-            elif d < 0:
-                i += 1
-            else:
-                j += 1
-    else:
-        for i in range(len(mu_pos)):
-            for j in range(len(nu_pos)):
-                if nu_w[j] > 0 and np.max(np.abs(mu_pos[i] - nu_pos[j])) <= POSITION_TOL:
-                    c = min(mu_w[i], nu_w[j])
-                    if c > 0:
-                        common.append((mu_pos[i], c))
-                        mu_w[i] -= c
-                        nu_w[j] -= c
-                    break
+    mu_w, nu_w = mu.masses.copy(), nu.masses.copy()
+    common_w = np.zeros(len(mu))
+    match = nearest_atom(nu.positions, mu.positions)
+    for i in np.flatnonzero(match >= 0):
+        c = min(mu_w[i], nu_w[match[i]])
+        common_w[i] = c
+        mu_w[i] -= c
+        nu_w[match[i]] -= c
 
-    def residual(pos, w):
+    def part(pos, w):
         keep = w > 0
         return DiscreteMeasure(pos[keep], w[keep], dim) if keep.any() \
             else DiscreteMeasure.empty(dim)
 
-    common_m = DiscreteMeasure.from_atoms(common, dim) if common \
-        else DiscreteMeasure.empty(dim)
-    return common_m, residual(mu_pos, mu_w), residual(nu_pos, nu_w)
+    return part(mu.positions, common_w), part(mu.positions, mu_w), \
+        part(nu.positions, nu_w)
 
 
 def moments(m: DiscreteMeasure):
@@ -323,7 +352,9 @@ def _marginal_from_dict(d: dict):
         if kind == "grid":
             return GridDensity(float(d["lo"]), float(d["hi"]),
                                int(d["n"]), d["values"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except InputError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed marginal spec: {exc}") from exc
     raise InputError(f"unknown marginal type {kind!r}")
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SeparationError, SolverFailureError
-from .measures import MASS_TOL, POSITION_TOL, DiscreteMeasure, convex_order_check
+from .measures import (MASS_TOL, POSITION_TOL, DiscreteMeasure,
+                       convex_order_check, group_atoms, nearest_atom)
 
 # Remaining atom slivers below this fraction of the total mass are absorbed
 # while walking a frontier, so exact-exhaustion roots do not leave dust atoms.
@@ -50,19 +51,10 @@ class SeparationInterval:
             raise InputError("separation interval needs finite a < b")
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    """Cost exponent; solvers take p in (0, 1], the deformation checks (0, 2)."""
-
-    p: float
-    extended: bool = False
-
-    def __post_init__(self):
-        hi = 2.0 if self.extended else 1.0
-        ok = 0.0 < self.p < hi or (not self.extended and self.p == 1.0)
-        if not ok:
-            rng = "(0, 2)" if self.extended else "(0, 1]"
-            raise InputError(f"cost exponent {self.p} outside {rng}")
+def check_exponent(p: float):
+    """Reject a cost exponent outside (0, 1], the range the solvers cover."""
+    if not (0.0 < p <= 1.0):
+        raise InputError(f"cost exponent p={p} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -117,18 +109,21 @@ class Coupling:
     def rows(self):
         """Group entries by source atom: list of (x, target array, mass array).
 
-        Sources within POSITION_TOL are treated as the same atom (1-D only).
+        Sources of one `group_atoms` group form one row, ordered by source;
+        x is the row's smallest source and entries are sorted by (x, y).
         """
-        if self.dim != 1:
-            raise InputError("rows() supports dim=1 couplings")
         if len(self) == 0:
             return []
-        order = np.lexsort((self.ys, self.xs))
+        n = len(self)
+        labels = group_atoms(self.xs)
+        order = np.lexsort((*self.ys.reshape(n, -1).T[::-1],
+                            *self.xs.reshape(n, -1).T[::-1], labels))
         xs, ys, w = self.xs[order], self.ys[order], self.masses[order]
-        breaks = np.nonzero(np.diff(xs) > POSITION_TOL)[0] + 1
+        breaks = np.flatnonzero(np.diff(labels[order])) + 1
         out = []
         for idx in np.split(np.arange(len(xs)), breaks):
-            out.append((float(xs[idx[0]]), ys[idx], w[idx]))
+            x = float(xs[idx[0]]) if self.dim == 1 else xs[idx[0]]
+            out.append((x, ys[idx], w[idx]))
         return out
 
     def reflect(self) -> "Coupling":
@@ -424,41 +419,25 @@ def detect_separation(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return SeparationInterval(a, b)
 
 
-def coupling_matrix(pi: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                    tol: float = 1e-9) -> np.ndarray:
+def coupling_matrix(pi: Coupling, mu: DiscreteMeasure,
+                    nu: DiscreteMeasure) -> np.ndarray:
     """Dense (len(mu), len(nu)) matrix of entry masses, indexed by atom.
 
-    Entry positions are matched to marginal atoms within `tol`; unmatched
-    positions raise InputError.
+    Each entry is credited to its nearest source and target atoms
+    (`nearest_atom`); an entry with no atom within POSITION_TOL on either
+    side raises InputError.
     """
     if pi.dim != mu.dim or pi.dim != nu.dim:
         raise InputError("dimension mismatch")
-
-    def locate(points, atoms):
-        if pi.dim == 1:
-            idx = np.searchsorted(atoms, points)
-            best = np.zeros(len(points), dtype=int)
-            for k, (i, pt) in enumerate(zip(idx, points)):
-                cands = [j for j in (i - 1, i) if 0 <= j < len(atoms)]
-                j = min(cands, key=lambda j: abs(atoms[j] - pt))
-                if abs(atoms[j] - pt) > tol:
-                    raise InputError(f"coupling position {pt} is not a marginal atom")
-                best[k] = j
-            return best
-        best = np.zeros(len(points), dtype=int)
-        for k, pt in enumerate(points):
-            d = np.linalg.norm(atoms - pt, axis=1)
-            j = int(np.argmin(d))
-            if d[j] > tol:
-                raise InputError("coupling position is not a marginal atom")
-            best[k] = j
-        return best
-
+    rows = nearest_atom(mu.positions, pi.xs)
+    cols = nearest_atom(nu.positions, pi.ys)
+    stray = (rows < 0) | (cols < 0)
+    if stray.any():
+        k = int(np.argmax(stray))
+        raise InputError(f"coupling entry ({pi.xs[k]}, {pi.ys[k]}) is not "
+                         "at a pair of marginal atoms")
     mat = np.zeros((len(mu), len(nu)))
-    if len(pi):
-        rows = locate(pi.xs, mu.positions)
-        cols = locate(pi.ys, nu.positions)
-        np.add.at(mat, (rows, cols), pi.masses)
+    np.add.at(mat, (rows, cols), pi.masses)
     return mat
 
 
@@ -479,14 +458,14 @@ def coupling_from_dict(doc: dict):
         entries = doc["entries"]
         pi = Coupling.from_entries(entries) if entries else Coupling(
             np.zeros(0), np.zeros(0), np.zeros(0))
-    except (KeyError, TypeError, IndexError) as exc:
+        maps = None
+        if doc.get("maps"):
+            maps = TransportMaps(*np.asarray(doc["maps"], dtype=float).T)
+        return pi, doc.get("cost"), maps
+    except InputError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed coupling document: {exc}") from exc
-    cost_value = doc.get("cost")
-    maps = None
-    if doc.get("maps"):
-        cols = np.asarray(doc["maps"], dtype=float).T
-        maps = TransportMaps(cols[0], cols[1], cols[2], cols[3], cols[4])
-    return pi, cost_value, maps
 
 
 def write_coupling_json(path, pi: Coupling, cost_value=None,

@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
 from .measures import (DiscreteMeasure, GridDensity, common_mass_split,
-                       convex_order_check, quantize)
-from .mot1d import (Coupling, TransportMaps, cost, detect_separation,
-                    reflection_residual, solve_sweep)
+                       convex_order_check, group_atoms, quantize)
+from .mot1d import (Coupling, TransportMaps, check_exponent, cost,
+                    detect_separation, reflection_residual, solve_sweep)
 from . import lp as lp_mod
 
 
@@ -203,8 +203,7 @@ def solve_radial(mu, nu, p: float, n: int = 400):
     NotInConvexOrderError with refinement advice when quantization broke the
     convex order.
     """
-    if not (0.0 < p <= 1.0):
-        raise InputError("cost exponent must lie in (0, 1]")
+    check_exponent(p)
     if n < 2:
         raise InputError("need n >= 2 quantization cells")
     dim = getattr(mu, "dim", None)
@@ -303,8 +302,8 @@ def _radii_of(m: DiscreteMeasure) -> np.ndarray:
 
 def r_equivalent(phi: DiscreteMeasure, psi: DiscreteMeasure, edges,
                  tol: float = 1e-9) -> bool:
-    """Same mass on every annulus (per `edges`) and, atom by atom, the same
-    radius multiset with matching masses."""
+    """Same mass on every annulus (per `edges`) and, radius by radius, the
+    same mass, with radii matched by `group_atoms` and masses within tol."""
     if phi.dim != psi.dim:
         raise InputError("measures must share dim")
     edges = np.asarray(edges, dtype=float)
@@ -313,27 +312,11 @@ def r_equivalent(phi: DiscreteMeasure, psi: DiscreteMeasure, edges,
     h2, _ = np.histogram(r2, bins=edges, weights=psi.masses)
     if np.abs(h1 - h2).max(initial=0.0) > tol:
         return False
-    # exact multiset comparison: cluster all radii, compare per-cluster mass
-    allr = np.sort(np.concatenate([r1, r2]))
-    if len(allr) == 0:
-        return True
-    reps = [allr[0]]
-    for r in allr[1:]:
-        if r - reps[-1] > tol:
-            reps.append(r)
-    reps = np.asarray(reps)
-
-    def cluster_masses(radii, w):
-        out = np.zeros(len(reps))
-        idx = np.searchsorted(reps, radii)
-        for i, (j, r) in enumerate(zip(idx, radii)):
-            cands = [k for k in (j - 1, j) if 0 <= k < len(reps)]
-            k = min(cands, key=lambda k: abs(reps[k] - r))
-            out[k] += w[i]
-        return out
-
-    gap = np.abs(cluster_masses(r1, phi.masses) - cluster_masses(r2, psi.masses))
-    return bool(gap.max(initial=0.0) <= tol)
+    labels = group_atoms(np.concatenate([r1, r2]))
+    n = int(labels.max(initial=-1)) + 1
+    gap = (np.bincount(labels[:len(r1)], weights=phi.masses, minlength=n)
+           - np.bincount(labels[len(r1):], weights=psi.masses, minlength=n))
+    return bool(np.abs(gap).max(initial=0.0) <= tol)
 
 
 def l_symmetrize_2d(phi: DiscreteMeasure, direction) -> DiscreteMeasure:

@@ -24,15 +24,14 @@ Three kinds of certificates:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .measures import POSITION_TOL, DiscreteMeasure
-from .mot1d import Coupling, TransportMaps
+from .measures import DiscreteMeasure, group_atoms, nearest_atom
+from .mot1d import Coupling, TransportMaps, check_exponent
 
 DETECT_MASS_TOL = 1e-10
 
@@ -94,8 +93,7 @@ def swap_gain(x: float, y_minus: float, y_plus: float, x_prime: float,
     G(z) = t|z-y-|^p + (1-t)|z-y+|^p - |z-y'|^p with t y- + (1-t) y+ = y'."""
     if not (y_minus < y_prime < y_plus):
         raise InputError("need y_minus < y_prime < y_plus")
-    if not (0.0 < p <= 1.0):
-        raise InputError("cost exponent must lie in (0, 1]")
+    check_exponent(p)
     t = (y_plus - y_prime) / (y_plus - y_minus)
     if not (0.0 < t < 1.0):
         raise InputError(f"degenerate barycenter weight t={t}")
@@ -232,59 +230,27 @@ class ValidationReport:
         }
 
 
-def _marginal_residual(points, weights, measure: DiscreteMeasure, dim: int):
-    """Max deviation between aggregated point masses and measure atoms,
-    counting mass at unmatched positions in full."""
-    agg = {}
-    for pt, w in zip(points, weights):
-        key = tuple(np.round(np.atleast_1d(pt) / POSITION_TOL).astype(np.int64))
-        agg[key] = agg.get(key, 0.0) + w
-    resid = 0.0
-    used = set()
-    for pos, mass in zip(measure.positions, measure.masses):
-        key = tuple(np.round(np.atleast_1d(pos) / POSITION_TOL).astype(np.int64))
-        got = 0.0
-        for shift in _key_neighborhood(key, dim):
-            if shift in agg:
-                got += agg[shift]
-                used.add(shift)
-        resid = max(resid, abs(got - mass))
-    for key, w in agg.items():
-        if key not in used:
-            resid = max(resid, abs(w))
-    return resid
-
-
-def _key_neighborhood(key, dim):
-    """Rounding a position to the tolerance lattice can land on either side
-    of a cell edge in any coordinate, so match the full 3^d neighborhood."""
-    if dim == 1:
-        return [(key[0] - 1,), key, (key[0] + 1,)]
-    return [tuple(k + d for k, d in zip(key, shift))
-            for shift in itertools.product((-1, 0, 1), repeat=dim)]
-
-
-def validate_coupling(pi: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      tol: float = 1e-9) -> ValidationReport:
+def validate_coupling(pi: Coupling, mu: DiscreteMeasure,
+                      nu: DiscreteMeasure) -> ValidationReport:
     """Report the worst row-marginal, column-marginal, and row-barycenter
-    residuals of a coupling against its intended marginals."""
+    residuals of a coupling against its intended marginals.
+
+    Each entry is credited to its nearest atom (`nearest_atom`). A marginal
+    residual is the largest gap between an atom's mass and the mass credited
+    to it, or the largest mass at one group of positions that matches no
+    atom. Rows are the `group_atoms` groups of the sources.
+    """
     if len(pi) == 0:
         worst = max(mu.total_mass(), nu.total_mass())
         return ValidationReport(worst, worst, 0.0)
-    row = _marginal_residual(pi.xs, pi.masses, mu, pi.dim)
-    col = _marginal_residual(pi.ys, pi.masses, nu, pi.dim)
-    bary = 0.0
-    if pi.dim == 1:
-        for x, ys, ws in pi.rows():
-            bary = max(bary, abs(float(np.dot(ys, ws)) - x * float(ws.sum())))
-    else:
-        seen = {}
-        for x, y, w in zip(pi.xs, pi.ys, pi.masses):
-            key = tuple(np.round(x / POSITION_TOL).astype(np.int64))
-            acc = seen.setdefault(key, [np.zeros(pi.dim), 0.0, x])
-            acc[0] = acc[0] + w * y
-            acc[1] += w
-            seen[key] = acc
-        for moment, w, x in seen.values():
-            bary = max(bary, float(np.abs(moment - w * x).max()))
-    return ValidationReport(row, col, bary)
+    resid = []
+    for points, m in ((pi.xs, mu), (pi.ys, nu)):
+        atom = nearest_atom(m.positions, points)
+        hit = atom >= 0
+        got = np.bincount(atom[hit], weights=pi.masses[hit], minlength=len(m))
+        stray = np.bincount(group_atoms(points[~hit]), weights=pi.masses[~hit])
+        resid.append(float(max(np.abs(got - m.masses).max(initial=0.0),
+                               stray.max(initial=0.0))))
+    bary = max(float(np.abs(ws @ ys - x * ws.sum()).max())
+               for x, ys, ws in pi.rows())
+    return ValidationReport(resid[0], resid[1], bary)

@@ -83,8 +83,10 @@ class TestSolve:
         entries = json.loads(out.read_text())["entries"]
         assert any(x == y == 1.0 and w == 0.2 for x, y, w in entries)
 
-    def test_bad_exponent_exit_two(self, pair_file):
-        assert main(["solve", pair_file, "--p", "1.5"]) == 2
+    def test_bad_exponent_exit_two(self, pair_file, radial_file):
+        for argv in (["solve", pair_file], ["oracle", pair_file],
+                     ["solve-radial", radial_file]):
+            assert main(argv + ["--p", "1.5"]) == 2
 
     def test_infeasible_exit_one(self, reversed_file):
         assert main(["solve", reversed_file]) == 1
@@ -232,3 +234,27 @@ class TestOracle:
         assert main(["oracle", pair_file, "--sense", "max"]) == 0
         out = capsys.readouterr().out
         assert float(out.split("=")[1]) >= 1.875 - 1e-12
+
+
+NU_DOC = {"type": "discrete", "atoms": [[-2.0, 0.5], [2.0, 0.5]]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind, doc", [
+        ("marginals", {"mu": {"type": "grid", "lo": -1.0, "hi": 1.0, "n": "abc",
+                              "values": [1.0, 1.0]}, "nu": NU_DOC}),
+        ("marginals", {"mu": {"type": "discrete", "atoms": [["abc", 1.0]]},
+                       "nu": NU_DOC}),
+        ("coupling", {"entries": [[-0.5, -2.0, 0.5]], "cost": None,
+                      "maps": [[-0.5, -2.0, 2.0, 0.5]]}),
+        ("coupling", {"entries": [["abc", -2.0, 0.5]], "cost": None,
+                      "maps": None}),
+    ], ids=["grid-n", "atom-position", "maps-row", "coupling-entry"])
+    def test_exit_two(self, kind, doc, pair_file, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        if kind == "marginals":
+            argv = ["check-order", str(path)]
+        else:
+            argv = ["verify", "--coupling", str(path), "--marginals", pair_file]
+        assert main(argv) == 2

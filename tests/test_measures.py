@@ -3,6 +3,7 @@ import pytest
 
 from motkit import (DiscreteMeasure, GridDensity, InputError, call_function,
                     common_mass_split, convex_order_check, moments, quantize)
+from motkit.measures import group_atoms, nearest_atom
 from instances import separated_instance
 
 
@@ -157,6 +158,15 @@ class TestCommonMass:
             for x in mu_bar.positions:
                 assert np.min(np.abs(nu_bar.positions - x), initial=np.inf) > 1e-10
 
+    def test_two_mu_atoms_near_one_nu_atom(self):
+        # both mu atoms lie within tolerance of the single nu atom, so all
+        # of the mass is common and nothing is left to transport
+        mu = DiscreteMeasure([0.0, 1.5e-12], [0.5, 0.5])
+        nu = DiscreteMeasure([0.75e-12], [1.0])
+        common, mu_bar, nu_bar = common_mass_split(mu, nu)
+        assert common.total_mass() == 1.0
+        assert len(mu_bar) == 0 and len(nu_bar) == 0
+
 
 class TestMoments:
     def test_symmetric_pair(self):
@@ -194,3 +204,19 @@ class TestConstruction:
                             [0.2, 0.3, 0.5], dim=2)
         assert len(m) == 2
         assert abs(m.total_mass() - 1.0) < 1e-15
+
+
+class TestAtomIndex:
+    def test_chain_rule(self):
+        t = 1e-12
+        assert group_atoms([5.0, 1.8 * t, 0.0, 0.9 * t]).tolist() == [1, 0, 0, 0]
+        # B and C are close; A is within tolerance of neither, although each
+        # coordinate alone chains all three together
+        pts = [[0.0, 0.0], [0.9 * t, 1.8 * t], [1.8 * t, 0.9 * t]]
+        assert group_atoms(pts).tolist() == [0, 1, 1]
+
+    def test_nearest_atom_credits_one_atom(self):
+        atoms = [[0.0, 0.0], [2e-12, 0.0], [1.0, 1.0]]
+        pts = [[1e-12, 0.0], [1.9e-12, 0.0], [1.0, 1.0 + 5e-10]]
+        assert nearest_atom(atoms, pts).tolist() == [0, 1, -1]
+        assert nearest_atom([], [0.0]).tolist() == [-1]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from motkit import (CostSpec, Coupling, DiscreteMeasure, InputError,
+from motkit import (Coupling, DiscreteMeasure, InputError,
                     NotInConvexOrderError, SeparationError,
                     SeparationInterval, cost, coupling_matrix,
                     detect_separation, is_symmetric, reflection_residual,
@@ -177,16 +177,6 @@ class TestPreconditions:
         nu = DiscreteMeasure([-2.0, 2.0], [0.7, 0.3])  # mean off
         with pytest.raises(NotInConvexOrderError):
             solve_sweep(mu, nu, I_UNIT)
-
-    def test_cost_spec_ranges(self):
-        CostSpec(1.0)
-        CostSpec(1.5, extended=True)
-        with pytest.raises(InputError):
-            CostSpec(1.5)
-        with pytest.raises(InputError):
-            CostSpec(2.0, extended=True)
-        with pytest.raises(InputError):
-            CostSpec(0.0)
 
 
 class TestSeparationDetection:

@@ -270,7 +270,7 @@ class TestGroupAverage:
         for k in range(8):
             M = rotation_2d(2 * np.pi * k / 8)
             rot = rotate_pushforward(sol.coupling, M)
-            mat += coupling_matrix(rot, mu, nu, tol=1e-9) / 8
+            mat += coupling_matrix(rot, mu, nu) / 8
         ii, jj = np.nonzero(mat > 1e-15)
         avg = Coupling(mu.positions[ii], nu.positions[jj], mat[ii, jj], dim=2)
         rep = validate_coupling(avg, mu, nu)

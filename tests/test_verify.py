@@ -3,8 +3,9 @@ import pytest
 
 from motkit import (Coupling, DeformationInstance, DiscreteMeasure,
                     InputError, TransportMaps, check_decreasing,
-                    curve_is_constant, curve_is_strictly_decreasing,
-                    deformation_curve, detect_forbidden, detect_separation,
+                    coupling_matrix, curve_is_constant,
+                    curve_is_strictly_decreasing, deformation_curve,
+                    detect_forbidden, detect_separation,
                     random_deformation_instance, solve_sweep, swap_gain,
                     validate_coupling)
 from instances import plant_cross_swap, separated_instance
@@ -207,3 +208,24 @@ class TestValidateCoupling:
         empty = Coupling(np.zeros(0), np.zeros(0), np.zeros(0))
         rep = validate_coupling(empty, mu, mu)
         assert rep.row_residual == 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_entry_between_two_atoms_credited_once(self, dim):
+        # the mu atoms are 2e-12 apart, so both survive the merge; the entry
+        # midway is within tolerance of both but carries only half of mu
+        def at(*xs):
+            xs = np.asarray(xs)
+            return xs if dim == 1 else np.column_stack([xs, np.zeros(len(xs))])
+
+        mu = DiscreteMeasure(at(0.0, 2e-12), [0.5, 0.5], dim=dim)
+        nu = DiscreteMeasure(at(1e-12), [1.0], dim=dim)
+        pi = Coupling(at(1e-12), at(1e-12), [0.5], dim=dim)
+        assert validate_coupling(pi, mu, nu).row_residual == 0.5
+
+    def test_offset_entry_rejected_by_matrix_and_validator(self):
+        mu = DiscreteMeasure([0.0], [1.0])
+        nu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
+        pi = Coupling.from_entries([(5e-10, -1.0, 0.5), (5e-10, 1.0, 0.5)])
+        with pytest.raises(InputError):
+            coupling_matrix(pi, mu, nu)
+        assert validate_coupling(pi, mu, nu).row_residual == 1.0
