@@ -273,11 +273,17 @@ def quantize(g: GridDensity, normalize: bool = False) -> DiscreteMeasure:
 
 
 def call_function(m: DiscreteMeasure, ks) -> np.ndarray:
-    """integral (x-k)+ dm for each strike k (vectorized over k)."""
+    """integral (x-k)+ dm for each strike k: s1[i] - (k - c) s0[i], with i
+    the first atom above k, s0/s1 suffix sums of w and w (x - c), and c the
+    mean so that large offsets do not cancel. O((n + len(ks)) log n)."""
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     if len(m) == 0:
         return np.zeros(len(ks))
-    return np.maximum(m.positions[None, :] - ks[:, None], 0.0) @ m.masses
+    c = m.mean()
+    s0 = np.append(np.cumsum(m.masses[::-1])[::-1], 0.0)
+    s1 = np.append(np.cumsum((m.masses * (m.positions - c))[::-1])[::-1], 0.0)
+    i = np.searchsorted(m.positions, ks, side="right")
+    return s1[i] - (ks - c) * s0[i]
 
 
 def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -344,6 +350,14 @@ def moments(m: DiscreteMeasure):
 #   {"type": "grid", "lo": a, "hi": b, "n": n, "values": [...]}
 # ---------------------------------------------------------------------------
 
+def parse_int(value, name: str) -> int:
+    """An integral spec-file number; a fractional one is an error, not cut."""
+    number = float(value)
+    if not number.is_integer():
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _marginal_from_dict(d: dict):
     try:
         kind = d["type"]
@@ -351,7 +365,7 @@ def _marginal_from_dict(d: dict):
             return DiscreteMeasure.from_atoms(d["atoms"])
         if kind == "grid":
             return GridDensity(float(d["lo"]), float(d["hi"]),
-                               int(d["n"]), d["values"])
+                               parse_int(d["n"], "grid n"), d["values"])
     except InputError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -12,8 +12,9 @@ each atom splits its mass between two moving frontiers,
     largest atom and moving down toward b,
 
 with the split chosen so the consumed first moment matches the atom's
-barycenter. The split is found by bisection: the consumed moment is piecewise
-linear and strictly decreasing in the mass routed to the lower side. The
+barycenter. The consumed moment is piecewise linear and strictly decreasing in
+the mass routed to the lower side, with kinks where either frontier crosses a
+nu atom, so each row's split is solved exactly by walking those kinks. The
 construction never reads p, which is the point: the optimizer is the same for
 every exponent in (0, 1].
 
@@ -35,8 +36,6 @@ from .measures import (MASS_TOL, POSITION_TOL, DiscreteMeasure,
 # Remaining atom slivers below this fraction of the total mass are absorbed
 # while walking a frontier, so exact-exhaustion roots do not leave dust atoms.
 SNAP_FRACTION = 1e-13
-BISECT_WIDTH = 1e-14
-MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,8 @@ class Coupling:
             raise InputError("entry arrays must share length")
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise InputError("entry masses must be positive and finite")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise InputError("entry positions must be finite")
         for arr in (xs, ys, w):
             arr.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -126,10 +127,6 @@ class Coupling:
             out.append((x, ys[idx], w[idx]))
         return out
 
-    def reflect(self) -> "Coupling":
-        """Image under (x, y) -> (-x, -y)."""
-        return Coupling(-self.xs, -self.ys, self.masses, self.dim)
-
 
 @dataclass(frozen=True)
 class TransportMaps:
@@ -164,79 +161,117 @@ class TransportMaps:
 
 
 class _Frontier:
-    """One consumption frontier over nu atoms listed in consumption order."""
+    """One consumption frontier over nu atoms listed in consumption order.
 
-    __slots__ = ("pos", "w", "idx", "rem", "snap", "boundary")
+    The state is the current atom `idx` and the unconsumed mass `left` of
+    each atom; taking an atom whole moves `idx` on. Prefix sums of mass and
+    first moment over whole atoms give the remaining mass in O(1) and the
+    moment of any consumption in O(log n).
+    """
+
+    __slots__ = ("pos", "w", "left", "cum", "cum_mom", "idx", "snap", "boundary")
 
     def __init__(self, pos, w, snap, boundary):
-        self.pos = np.asarray(pos, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.idx = 0
-        self.rem = float(self.w[0]) if len(self.w) else 0.0
-        self.snap = snap
-        self.boundary = float(boundary)
+        self.pos, self.w, self.left = pos.tolist(), w.tolist(), w.tolist()
+        self.cum = np.concatenate(([0.0], np.cumsum(w)))
+        self.cum_mom = np.concatenate(([0.0], np.cumsum(w * pos))).tolist()
+        self.idx, self.snap, self.boundary = 0, snap, float(boundary)
 
     def remaining(self) -> float:
-        if self.idx >= len(self.w):
+        j = self.idx
+        if j == len(self.w):
             return 0.0
-        return self.rem + float(self.w[self.idx + 1:].sum())
+        return self.left[j] + float(self.cum[-1] - self.cum[j + 1])
 
-    def walk(self, need: float, commit: bool):
-        """Consume `need` from the frontier; returns (moment, takes).
+    def locate(self, t: float):
+        """Where taking `t` (at most remaining()) from the front ends:
+        (atom i, mass taken from atom i, first moment taken)."""
+        j, pos = self.idx, self.pos
+        r = self.left[j]
+        if t <= r or j == len(pos) - 1:
+            return j, t, t * pos[j]
+        # atoms j+1..i-1 are taken whole, atom i in part
+        base = self.cum[j + 1]
+        i = int(np.searchsorted(self.cum, base + (t - r))) - 1
+        i = min(max(i, j + 1), len(pos) - 1)
+        u = (t - r) - float(self.cum[i] - base)
+        whole = self.cum_mom[i] - self.cum_mom[j + 1]
+        return i, u, r * pos[j] + whole + u * pos[i]
 
-        takes is a list of (atom index, consumed mass). Residual atom slivers
-        within `snap` are absorbed so exact exhaustions stay exact.
-        """
-        j, r = self.idx, self.rem
-        pos, w, snap = self.pos, self.w, self.snap
-        moment = 0.0
-        takes = []
-        while need > snap and j < len(w):
-            if r <= 0.0:
-                j += 1
-                if j >= len(w):
-                    break
-                r = float(w[j])
-                continue
-            take = r if r <= need else need
-            if r - take <= snap:
-                take = r
-            takes.append((j, take))
-            moment += take * pos[j]
+    def take(self, need: float):
+        """Take `need` from the front; returns (moment, [(position, mass)]).
+        An atom left with at most `snap` is taken whole (its own remaining
+        mass) and a need of at most `snap` is dropped, so no dust is left."""
+        moment, takes = 0.0, []
+        while need > self.snap and self.idx < len(self.w):
+            y, r = self.pos[self.idx], self.left[self.idx]
+            take = r if r - need <= self.snap else need
+            takes.append((y, take))
+            moment += take * y
             need -= take
-            r -= take
-        if commit:
-            self.idx, self.rem = j, r
+            self.left[self.idx] = r - take
+            if take == r:
+                self.idx += 1
         return moment, takes
 
     def map_state(self):
-        """(deepest consumed atom, consumed fraction) after the last commit."""
-        j, r = self.idx, self.rem
-        if len(self.w) == 0:
+        """(deepest consumed atom, consumed fraction) after the last take."""
+        j, w = self.idx, self.w
+        if j < len(w) and self.left[j] < w[j]:
+            return self.pos[j], 1.0 - self.left[j] / w[j]
+        if j == 0:
             return self.boundary, 0.0
-        if j >= len(self.w):
-            return float(self.pos[-1]), 1.0
-        if r <= 0.0:
-            return float(self.pos[j]), 1.0
-        if r >= self.w[j]:
-            if j == 0:
-                return self.boundary, 0.0
-            return float(self.pos[j - 1]), 1.0
-        return float(self.pos[j]), 1.0 - r / float(self.w[j])
+        return self.pos[j - 1], 1.0
 
 
-def _split_nu(nu: DiscreteMeasure, interval: SeparationInterval):
-    """nu atoms at or below a / at or above b, each in consumption order."""
+def _row_split(lower: _Frontier, upper: _Frontier, x: float, m: float,
+               lo_b: float, hi_b: float) -> float:
+    """Mass rho in [lo_b, hi_b] routed to the lower frontier so that the
+    row's consumed first moment matches m * x.
+
+    The gap g(rho) = moment(lower, rho) + moment(upper, m - rho) - m x is
+    piecewise linear: with the lower side in atom j and the upper side in
+    atom k its slope is pos_lo[j] - pos_hi[k] < 0. The walk starts at lo_b;
+    each step crosses a kink (j up or k down) or ends the row. Returns lo_b
+    when g(lo_b) <= 0 and hi_b when g stays positive.
+    """
+    if lo_b >= hi_b:
+        return lo_b
+    rho = lo_b
+    j, u, mom_lo = lower.locate(rho)
+    k, b, mom_hi = upper.locate(m - rho)   # b: mass of upper atom k taken
+    a = lower.left[j] - u                  # mass of lower atom j left
+    g = mom_lo + mom_hi - m * x
+    while g > 0.0:
+        d = min(a, b)
+        slope = lower.pos[j] - upper.pos[k]
+        if g + slope * d <= 0.0:
+            return rho + g / -slope
+        rho, g = rho + d, g + slope * d
+        if a <= b:
+            j += 1
+            if j == len(lower.w):
+                return hi_b
+            a, b = lower.w[j], b - d
+        else:
+            k -= 1
+            if k < upper.idx:
+                return hi_b
+            a, b = a - d, upper.left[k]
+    return rho
+
+
+def _frontiers(nu: DiscreteMeasure, interval: SeparationInterval, snap: float):
+    """Frontiers over the nu atoms at or below a and at or above b, each
+    listed from its largest atom down."""
     pos, w = nu.positions, nu.masses
     inside = (pos > interval.a) & (pos < interval.b)
     if inside.any():
         raise SeparationError(
             f"nu has mass inside the separation interval at {pos[inside][:3]}")
     low = pos <= interval.a
-    lo_order = np.argsort(pos[low])[::-1]      # largest atom <= a first
-    hi_order = np.argsort(pos[~low])[::-1]     # largest atom first, toward b
-    return (pos[low][lo_order], w[low][lo_order],
-            pos[~low][hi_order], w[~low][hi_order])
+    return (_Frontier(pos[low][::-1], w[low][::-1], snap, interval.a),
+            _Frontier(pos[~low][::-1], w[~low][::-1], snap, interval.b))
 
 
 def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -254,23 +289,17 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise InputError("mu is empty")
     if np.any(mu.positions <= interval.a) or np.any(mu.positions >= interval.b):
         raise SeparationError("mu has mass outside the open separation interval")
-    lo_pos, lo_w, hi_pos, hi_w = _split_nu(nu, interval)
+    snap = SNAP_FRACTION * max(1.0, nu.total_mass())
+    lower, upper = _frontiers(nu, interval, snap)
     report = convex_order_check(mu, nu, tol=max(tol, MASS_TOL))
     if not report.in_order:
         raise NotInConvexOrderError(
             f"marginals not in convex order (worst gap {report.worst_gap:.3e} "
             f"at k={report.worst_k:.6g})", report=report)
-    snap = SNAP_FRACTION * max(1.0, nu.total_mass())
-    lower = _Frontier(lo_pos, lo_w, snap, interval.a)
-    upper = _Frontier(hi_pos, hi_w, snap, interval.b)
     pos_scale = max(1.0, float(np.abs(nu.positions).max(initial=0.0)))
+    entries, map_rows = [], []
 
-    ent_x, ent_y, ent_w = [], [], []
-    map_rows = []
-
-    for x, m in zip(mu.positions, mu.masses):
-        x = float(x)
-        m = float(m)
+    for x, m in zip(mu.positions.tolist(), mu.masses.tolist()):
         r_lo, r_hi = lower.remaining(), upper.remaining()
         lo_b = max(0.0, m - r_hi)
         hi_b = min(m, r_lo)
@@ -281,55 +310,18 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
                     residual=lo_b - hi_b)
             lo_b = hi_b
 
-        def moment_gap(rho: float) -> float:
-            mom_lo, _ = lower.walk(rho, commit=False)
-            mom_hi, _ = upper.walk(m - rho, commit=False)
-            return mom_lo + mom_hi - m * x
-
-        g_lo = moment_gap(lo_b)
-        g_hi = moment_gap(hi_b)
-        if g_lo <= 0.0:
-            rho, resid = lo_b, g_lo
-        elif g_hi >= 0.0:
-            rho, resid = hi_b, g_hi
-        else:
-            a_, b_ = lo_b, hi_b
-            width = BISECT_WIDTH * max(1.0, m)
-            rho = None
-            for _ in range(MAX_BISECT):
-                if b_ - a_ <= width:
-                    break
-                mid = 0.5 * (a_ + b_)
-                gm = moment_gap(mid)
-                if gm == 0.0:
-                    rho = mid    # exactly representable root
-                    break
-                if gm > 0.0:
-                    a_ = mid
-                else:
-                    b_ = mid
-            if rho is None:
-                rho = 0.5 * (a_ + b_)
-            resid = moment_gap(rho)
-
+        rho = _row_split(lower, upper, x, m, lo_b, hi_b)
+        mom_lo, takes_lo = lower.take(rho)
+        mom_hi, takes_hi = upper.take(m - rho)
+        resid = mom_lo + mom_hi - m * x
         allowed = tol * max(1.0, m * pos_scale)
         if abs(resid) > allowed:
             raise SolverFailureError(
                 f"row barycenter residual {resid:.3e} exceeds {allowed:.3e} "
                 f"at x={x:.6g}", residual=resid)
 
-        _, takes_lo = lower.walk(rho, commit=True)
-        _, takes_hi = upper.walk(m - rho, commit=True)
-        for j, take in takes_lo:
-            ent_x.append(x)
-            ent_y.append(float(lo_pos[j]))
-            ent_w.append(take)
-        for j, take in takes_hi:
-            ent_x.append(x)
-            ent_y.append(float(hi_pos[j]))
-            ent_w.append(take)
-        s_val, s_frac = lower.map_state()
-        t_val, t_frac = upper.map_state()
+        entries += [(x, y, w) for y, w in takes_lo + takes_hi]
+        (s_val, s_frac), (t_val, t_frac) = lower.map_state(), upper.map_state()
         map_rows.append((x, s_val, t_val, s_frac, t_frac))
 
     leftover = lower.remaining() + upper.remaining()
@@ -339,10 +331,7 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
             f"nu mass left unconsumed after sweep: {leftover:.3e}",
             residual=leftover)
 
-    pi = Coupling(np.asarray(ent_x), np.asarray(ent_y), np.asarray(ent_w))
-    cols = np.asarray(map_rows, dtype=float).T
-    maps = TransportMaps(cols[0], cols[1], cols[2], cols[3], cols[4])
-    return pi, maps
+    return Coupling.from_entries(entries), TransportMaps(*np.asarray(map_rows).T)
 
 
 def cost(pi: Coupling, p: float) -> float:
@@ -371,18 +360,11 @@ def reflection_residual(pi: Coupling) -> float:
     """Distance between a 1-D coupling and its reflection through 0."""
     if len(pi) == 0:
         return 0.0
-    ref = pi.reflect()
-
-    def sorted_entries(c):
-        order = np.lexsort((c.ys, c.xs))
-        return c.xs[order], c.ys[order], c.masses[order]
-
-    x1, y1, w1 = sorted_entries(pi)
-    x2, y2, w2 = sorted_entries(ref)
-    if len(x1) != len(x2):
-        return float(pi.total_mass())
-    return float(max(np.abs(x1 - x2).max(), np.abs(y1 - y2).max(),
-                     np.abs(w1 - w2).max()))
+    a = np.lexsort((pi.ys, pi.xs))          # entries in (x, y) order
+    b = np.lexsort((-pi.ys, -pi.xs))        # reflected entries in that order
+    return float(max(np.abs(pi.xs[a] + pi.xs[b]).max(),
+                     np.abs(pi.ys[a] + pi.ys[b]).max(),
+                     np.abs(pi.masses[a] - pi.masses[b]).max()))
 
 
 def symmetric_solve(mu: DiscreteMeasure, nu: DiscreteMeasure,

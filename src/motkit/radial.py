@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
 from .measures import (DiscreteMeasure, GridDensity, common_mass_split,
-                       convex_order_check, group_atoms, quantize)
+                       convex_order_check, group_atoms, parse_int, quantize)
 from .mot1d import (Coupling, TransportMaps, check_exponent, cost,
                     detect_separation, reflection_residual, solve_sweep)
 from . import lp as lp_mod
@@ -359,7 +359,7 @@ def load_radial_pair(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        dim = int(doc["dim"])
+        dim = parse_int(doc["dim"], "dim")
         return dim, _radial_from_dict(doc["mu"], dim), _radial_from_dict(doc["nu"], dim)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):

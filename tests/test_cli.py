@@ -249,12 +249,31 @@ class TestMalformedInput:
                       "maps": [[-0.5, -2.0, 2.0, 0.5]]}),
         ("coupling", {"entries": [["abc", -2.0, 0.5]], "cost": None,
                       "maps": None}),
-    ], ids=["grid-n", "atom-position", "maps-row", "coupling-entry"])
+        ("marginals", {"mu": {"type": "grid", "lo": -1.0, "hi": 1.0, "n": 2.7,
+                              "values": [0.5, 0.5]}, "nu": NU_DOC}),
+        ("radial", {"dim": 2.5,
+                    "mu": {"type": "radial-atoms", "atoms": [[0.5, 1.0]]},
+                    "nu": {"type": "radial-atoms", "atoms": [[2.0, 1.0]]}}),
+    ], ids=["grid-n", "atom-position", "maps-row", "coupling-entry",
+            "fractional-grid-n", "fractional-dim"])
     def test_exit_two(self, kind, doc, pair_file, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         if kind == "marginals":
             argv = ["check-order", str(path)]
+        elif kind == "radial":
+            argv = ["solve-radial", str(path)]
         else:
             argv = ["verify", "--coupling", str(path), "--marginals", pair_file]
         assert main(argv) == 2
+
+    def test_nan_position_in_coupling_exit_two(self, pair_file, tmp_path):
+        out = tmp_path / "pi.json"
+        assert main(["solve", pair_file, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert main(["verify", "--coupling", str(out),
+                     "--marginals", pair_file]) == 0
+        doc["entries"].append([float("nan"), 2.0, 1e-20])
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "--coupling", str(out),
+                     "--marginals", pair_file]) == 2

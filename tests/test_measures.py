@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,20 +92,49 @@ class TestConvexOrder:
 
     def test_agrees_with_dense_k_oracle(self):
         # oracle: evaluate the call-function gap on a dense strike grid
-        # (10k points plus the kinks) and take its minimum directly
-        rng = np.random.default_rng(11)
-        for trial in range(25):
-            if trial % 2 == 0:
-                mu, nu = separated_instance(rng, kmax=10)
-            else:
-                nu, mu = separated_instance(rng, kmax=10)
-            span = np.concatenate([mu.positions, nu.positions])
-            ks = np.union1d(
-                np.linspace(span.min() - 1, span.max() + 1, 10_000), span)
-            dense_gap = float(np.min(call_function(nu, ks) - call_function(mu, ks)))
-            rep = convex_order_check(mu, nu)
-            assert abs(rep.worst_gap - dense_gap) <= 1e-12
-            assert rep.in_order == (dense_gap >= -1e-10)
+        # (10k points plus the kinks) by the direct strikes x atoms formula
+        # and take its minimum; offsets check that large positions do not
+        # cancel in the suffix sums
+        def dense_calls(m, ks):
+            return np.maximum(m.positions[None, :] - ks[:, None], 0.0) @ m.masses
+
+        for offset in (0.0, 1e3, 1e6):
+            rng = np.random.default_rng(11)
+            for trial in range(25):
+                if trial % 2 == 0:
+                    mu, nu = separated_instance(rng, kmax=10)
+                else:
+                    nu, mu = separated_instance(rng, kmax=10)
+                mu = DiscreteMeasure(mu.positions + offset, mu.masses)
+                nu = DiscreteMeasure(nu.positions + offset, nu.masses)
+                span = np.concatenate([mu.positions, nu.positions])
+                ks = np.union1d(
+                    np.linspace(span.min() - 1, span.max() + 1, 10_000), span)
+                dense_gap = float(np.min(dense_calls(nu, ks) - dense_calls(mu, ks)))
+                rep = convex_order_check(mu, nu)
+                assert abs(rep.worst_gap - dense_gap) <= 1e-12
+                if offset == 0.0:
+                    # shifted positions round by up to half an ulp of the
+                    # offset, which moves the means by about the 1e-10
+                    # tolerance of in_order
+                    assert rep.in_order == (dense_gap >= -1e-10)
+                assert np.allclose(call_function(mu, ks), dense_calls(mu, ks),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_memory_linear_in_atoms(self):
+        # the gap comes from suffix sums, not a strikes x atoms matrix
+        # (3000 x 3000 floats alone would be 72 MB)
+        rng = np.random.default_rng(17)
+        n = 3000
+        mu = DiscreteMeasure(rng.uniform(-1, 1, n), np.full(n, 1 / n))
+        nu = DiscreteMeasure(rng.uniform(-3, 3, n), np.full(n, 1 / n))
+        tracemalloc.start()
+        try:
+            convex_order_check(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_transitive_on_spread_chain(self):
         rng = np.random.default_rng(13)

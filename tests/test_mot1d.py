@@ -8,8 +8,8 @@ from motkit import (Coupling, DiscreteMeasure, InputError,
                     SeparationInterval, cost, coupling_matrix,
                     detect_separation, is_symmetric, reflection_residual,
                     solve_lp, solve_sweep, symmetric_solve, validate_coupling)
-from motkit.mot1d import (read_coupling_json, write_coupling_json,
-                          write_maps_csv)
+from motkit.mot1d import (SNAP_FRACTION, read_coupling_json,
+                          write_coupling_json, write_maps_csv)
 from instances import separated_instance, six_atom_symmetric_nu, triangular_grid
 from motkit import quantize
 
@@ -125,6 +125,71 @@ class TestSweepAgainstLp:
                     hit = np.nonzero(np.isin(side, real))[0]
                     if len(hit) > 1:
                         assert np.all(np.diff(hit) == 1)
+
+
+class TestExactSweep:
+    """Each row's moment equation is solved exactly on the kinks of the
+    frontiers, so the residuals sit at rounding level."""
+
+    @pytest.mark.parametrize("n", [10, 100, 1000, 4000])
+    def test_triangular_residuals_at_rounding(self, n):
+        mu = quantize(triangular_grid(n))
+        nu = six_atom_symmetric_nu()
+        pi, _ = solve_sweep(mu, nu, detect_separation(mu, nu))
+        rep = validate_coupling(pi, mu, nu)
+        assert rep.barycenter_residual <= 4e-15
+        assert rep.row_residual <= 1e-14
+        assert rep.column_residual <= 1e-14
+
+    @staticmethod
+    def heavy_instance():
+        # two light atoms spread to the outer nu atoms; the heavy atom at 0.1
+        # spreads evenly over four atoms on each side, so its row crosses
+        # every nu atom
+        lows, highs = [-1.1, -1.3, -1.45, -1.7], [1.15, 1.35, 1.6, 1.8]
+        spreads = [(-0.6, 0.05, [-2.9], [2.3]), (0.1, 0.8, lows, highs),
+                   (0.6, 0.05, [-2.2], [2.9])]
+        acc = {}
+        for x, m, los, his in spreads:
+            for lo, hi in zip(los, his):
+                t = (hi - x) / (hi - lo)
+                acc[lo] = acc.get(lo, 0.0) + m / len(los) * t
+                acc[hi] = acc.get(hi, 0.0) + m / len(los) * (1 - t)
+        mu = DiscreteMeasure([s[0] for s in spreads], [s[1] for s in spreads])
+        return mu, DiscreteMeasure(list(acc), list(acc.values()))
+
+    def test_heavy_row_matches_lp(self):
+        mu, nu = self.heavy_instance()
+        interval = detect_separation(mu, nu)
+        pi, _ = solve_sweep(mu, nu, interval)
+        _, ys, _ = pi.rows()[1]
+        assert (ys <= interval.a).sum() >= 3 and (ys >= interval.b).sum() >= 3
+        mat = coupling_matrix(pi, mu, nu)
+        for p in (0.5, 1.0):
+            sol = solve_lp(mu, nu, p)
+            assert sol.status == "optimal"
+            assert np.abs(mat - sol.matrix).max() <= 1e-9
+
+    def test_root_on_atom_boundary_takes_whole_atoms(self):
+        # row k takes exactly the k-th lower and k-th upper nu atom in
+        # consumption order, so every root lands on a kink of both sides
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            k = int(rng.integers(2, 9))
+            xs = np.sort(rng.uniform(-0.9, 0.9, size=k))
+            lows = np.sort(rng.uniform(-3.0, -1.0, size=k))[::-1]
+            highs = np.sort(rng.uniform(1.0, 3.0, size=k))[::-1]
+            ms = rng.uniform(0.1, 1.0, size=k) / 3
+            w_lo = ms * (highs - xs) / (highs - lows)
+            w_hi = ms - w_lo
+            mu = DiscreteMeasure(xs, w_lo + w_hi)
+            nu = DiscreteMeasure(np.concatenate([lows, highs]),
+                                 np.concatenate([w_lo, w_hi]))
+            pi, _ = solve_sweep(mu, nu, SeparationInterval(-1.0, 1.0))
+            assert len(pi) == 2 * k
+            assert pi.masses.min() > SNAP_FRACTION
+            mass_of = dict(zip(nu.positions, nu.masses))
+            assert all(w == mass_of[y] for y, w in zip(pi.ys, pi.masses))
 
 
 class TestTwoPointSupport:
