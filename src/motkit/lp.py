@@ -7,11 +7,14 @@ atoms (y_j, nu_j) are constrained by
     column sums     sum_i pi[i, j]          = nu_j          (n rows)
     row barycenters sum_j y_j[k] pi[i, j]   = x_i[k] mu_i   (d*m rows)
 
-and the objective is sum pi[i, j] |x_i - y_j|^p. The system is solved by a
-self-contained dense two-phase simplex (full tableau, Dantzig pricing with a
-Bland's-rule fallback once the objective stalls). Instances are desk scale,
-so determinism and transparency beat sparse performance here; infeasibility
-of phase 1 is exactly the convex-order failure of the marginals.
+and the objective is sum pi[i, j] |x_i - y_j|^p. Each column of the
+constraint matrix has 2 + d nonzeros. The system is solved by a
+self-contained revised two-phase simplex: it keeps only the basis inverse
+B^-1 and the basic values, prices the nonzeros of A, forms the entering
+column alone and updates B^-1 by a rank-1 step, so a pivot costs
+O(rows^2 + nnz(A)) (Dantzig pricing with a Bland's-rule fallback once the
+objective stalls). Infeasibility of phase 1 is exactly the convex-order
+failure of the marginals.
 """
 
 from __future__ import annotations
@@ -30,48 +33,106 @@ RESIDUAL_RTOL = 1e-9       # feasibility residual gate on reported optima
 MAX_VARIABLES = 250_000
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int):
-    T[row] /= T[row, col]
-    other = T[:, col].copy()
-    other[row] = 0.0
-    T -= other[:, None] * T[row][None, :]
-    basis[row] = col
+class _Basis:
+    """A simplex basis of [A I] v = b (rows with b < 0 negated): B^-1, the
+    basic columns and their values, over the nonzeros of [A I] grouped by
+    column.
+
+    Column j < n is column j of A; column n + k is the artificial unit
+    vector of row k.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        m, self.n = A.shape
+        self.width = self.n + m
+        sign = np.where(b < 0, -1.0, 1.0)
+        nz_col, nz_row = np.nonzero(A.T)
+        self._set_nonzeros(np.concatenate([nz_row, np.arange(m)]),
+                           np.concatenate([nz_col, np.arange(self.n, self.width)]),
+                           np.concatenate([A[nz_row, nz_col] * sign[nz_row], np.ones(m)]))
+        self.inv = np.eye(m)
+        self.basis = np.arange(self.n, self.width)
+        self.x = np.abs(b)
+
+    def _set_nonzeros(self, nz_row, nz_col, nz_val):
+        self.nz_row, self.nz_col, self.nz_val = nz_row, nz_col, nz_val
+        self.nz_start = np.searchsorted(nz_col, np.arange(self.width + 1))
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """y @ [A I]."""
+        return np.bincount(self.nz_col, weights=y[self.nz_row] * self.nz_val,
+                           minlength=self.width)
+
+    def column(self, q: int) -> np.ndarray:
+        """B^-1 times column q."""
+        lo, hi = self.nz_start[q], self.nz_start[q + 1]
+        return self.inv[:, self.nz_row[lo:hi]] @ self.nz_val[lo:hi]
+
+    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        """cost - y @ [A I] over the first len(cost) columns, y = c_B B^-1."""
+        return cost - self.price(cost[self.basis] @ self.inv)[:len(cost)]
+
+    def pivot(self, row: int, q: int, u: np.ndarray):
+        """Column q (u = B^-1 a_q) enters in place of basic position row."""
+        theta = self.x[row] / u[row]
+        self.x -= theta * u
+        self.x[row] = theta
+        pivot_row = self.inv[row] / u[row]
+        self.inv -= np.outer(u, pivot_row)
+        self.inv[row] = pivot_row
+        self.basis[row] = q
+
+    def drop(self, rows: list):
+        """Delete basic positions `rows`, each held by the artificial of a
+        redundant constraint, together with those constraints: B^-1 loses
+        the position's row and the constraint's column."""
+        keep = np.ones(len(self.basis), dtype=bool)
+        keep[rows] = False
+        keep_con = np.ones(len(self.basis), dtype=bool)
+        keep_con[self.basis[rows] - self.n] = False
+        self.inv = self.inv[keep][:, keep_con]
+        self.basis = self.basis[keep]
+        self.x = self.x[keep]
+        new_row = np.cumsum(keep_con) - 1
+        sel = keep_con[self.nz_row]
+        self._set_nonzeros(new_row[self.nz_row[sel]], self.nz_col[sel],
+                           self.nz_val[sel])
 
 
-def _run_phase(T: np.ndarray, basis: np.ndarray, n_cols: int, maxiter: int,
-               stall_limit: int):
-    """Pivot until optimal. Returns (status, iterations).
+def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
+    """Pivot until optimal. Returns (status, iterations, reduced costs,
+    whether Bland's rule was switched on).
 
-    n_cols restricts entering variables to the first n_cols columns. Dantzig
-    pricing switches permanently to Bland's rule after stall_limit iterations
+    Entering candidates are the len(cost) first columns. Dantzig pricing
+    switches permanently to Bland's rule after stall_limit iterations
     without objective progress.
     """
-    m = len(basis)
     bland = False
     stall = 0
     best = np.inf
     for it in range(maxiter):
-        obj_row = T[-1, :n_cols]
+        d = B.reduced_costs(cost)
         if bland:
-            cand = np.nonzero(obj_row < -PIVOT_TOL)[0]
+            cand = np.nonzero(d < -PIVOT_TOL)[0]
             if len(cand) == 0:
-                return "optimal", it
+                return "optimal", it, d, bland
             col = int(cand[0])
         else:
-            col = int(np.argmin(obj_row))
-            if obj_row[col] >= -PIVOT_TOL:
-                return "optimal", it
-        ratios = np.full(m, np.inf)
-        pos = T[:m, col] > PIVOT_TOL
-        ratios[pos] = T[:m, -1][pos] / T[:m, col][pos]
+            col = int(np.argmin(d))
+            if d[col] >= -PIVOT_TOL:
+                return "optimal", it, d, bland
+        u = B.column(col)
+        pos = u > PIVOT_TOL
         if not pos.any():
-            return "unbounded", it
+            return "unbounded", it, d, bland
+        ratios = np.full(len(u), np.inf)
+        ratios[pos] = B.x[pos] / u[pos]
         best_ratio = ratios.min()
         thresh = best_ratio + 1e-12 * max(1.0, abs(best_ratio))
         ties = np.nonzero(ratios <= thresh)[0]
-        row = int(ties[np.argmin(basis[ties])])
-        _pivot(T, basis, row, col)
-        cur = -T[-1, -1]
+        row = int(ties[np.argmin(B.basis[ties])])
+        B.pivot(row, col, u)
+        cur = float(cost[B.basis] @ B.x)
         if cur < best - 1e-12 * max(1.0, abs(best)):
             best = cur
             stall = 0
@@ -79,66 +140,65 @@ def _run_phase(T: np.ndarray, basis: np.ndarray, n_cols: int, maxiter: int,
             stall += 1
             if stall > stall_limit:
                 bland = True
-    return "maxiter", maxiter
+    return "maxiter", maxiter, None, bland
+
+
+def _revised_simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                     feas_tol: float):
+    """simplex_solve, plus the reduced costs c - y @ A at the optimum
+    (None unless optimal)."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    B = _Basis(A, b)
+
+    maxiter = max(2000, 25 * (m + n))
+    stall_limit = 10 * (m + n)
+    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    status, it1, _, bland1 = _run_phase(B, phase1_cost, maxiter, stall_limit)
+    if status != "optimal":
+        return "failure", None, it1, f"phase 1 ended with {status}", None
+    phase1_obj = float(phase1_cost[B.basis] @ B.x)
+    if phase1_obj > feas_tol:
+        return ("infeasible", None, it1, f"phase-1 residual {phase1_obj:.3e}",
+                None)
+
+    # Drive leftover artificial variables out of the basis; a row where no
+    # structural column can pivot is redundant and is dropped.
+    redundant = []
+    for i in range(len(B.basis)):
+        if B.basis[i] >= n:
+            cols = np.nonzero(np.abs(B.price(B.inv[i])[:n]) > PIVOT_TOL)[0]
+            if len(cols):
+                B.pivot(i, int(cols[0]), B.column(int(cols[0])))
+            else:
+                redundant.append(i)
+    B.drop(redundant)
+
+    status, it2, d, bland2 = _run_phase(B, c, maxiter, stall_limit)
+    if status != "optimal":
+        return ("failure", None, it1 + it2, f"phase 2 ended with {status}",
+                None)
+    v = np.zeros(n)
+    v[B.basis] = B.x
+    v[v < 0] = 0.0
+    bland = [f"phase {k}" for k, on in ((1, bland1), (2, bland2)) if on]
+    msg = f"Bland's rule switched on in {' and '.join(bland)}" if bland else ""
+    return "optimal", v, it1 + it2, msg, d
 
 
 def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                   feas_tol: float):
-    """min c@v subject to A v = b, v >= 0 (dense two-phase simplex).
+    """min c@v subject to A v = b, v >= 0 (revised two-phase simplex).
 
-    Returns (status, v, iterations, message); status is one of
-    optimal / infeasible / failure. Redundant equality rows are dropped
-    after phase 1.
+    Only the basis inverse and the basic values are kept; each pivot prices
+    the nonzeros of A and updates B^-1 by a rank-1 step. Returns (status, v,
+    iterations, message); status is one of optimal / infeasible / failure.
+    Redundant equality rows are dropped after phase 1. On an optimal solve
+    the message says whether Bland's rule was switched on.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.abs(b)
-
-    T = np.zeros((m + 2, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = c
-    T[m + 1, :n] = -A.sum(axis=0)
-    T[m + 1, -1] = -b.sum()
-    basis = np.arange(n, n + m)
-
-    maxiter = max(2000, 25 * (m + n))
-    stall_limit = 10 * (m + n)
-    status, it1 = _run_phase(T, basis, n + m, maxiter, stall_limit)
-    if status != "optimal":
-        return "failure", None, it1, f"phase 1 ended with {status}"
-    phase1_obj = -T[-1, -1]
-    if phase1_obj > feas_tol:
-        return "infeasible", None, it1, f"phase-1 residual {phase1_obj:.3e}"
-
-    T = T[:-1]
-    # Drive leftover artificial variables out of the basis; a row where no
-    # structural column can pivot is redundant and is dropped.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n:
-            cols = np.nonzero(np.abs(T[i, :n]) > PIVOT_TOL)[0]
-            if len(cols):
-                _pivot(T, basis, i, int(cols[0]))
-            else:
-                keep[i] = False
-    if not keep.all():
-        T = np.vstack([T[:m][keep], T[m:]])
-        basis = basis[keep]
-    T = np.delete(T, np.s_[n:n + m], axis=1)
-
-    status, it2 = _run_phase(T, basis, n, maxiter, stall_limit)
-    if status != "optimal":
-        return "failure", None, it1 + it2, f"phase 2 ended with {status}"
-    v = np.zeros(n)
-    v[basis] = T[:len(basis), -1]
-    v[v < 0] = 0.0
-    return "optimal", v, it1 + it2, ""
+    return _revised_simplex(A, b, c, feas_tol)[:4]
 
 
 @dataclass(frozen=True)
@@ -221,31 +281,43 @@ class LpSolution:
     message: str = ""
 
 
-def _solve_assembled(prob: MotLp) -> LpSolution:
-    mu, nu = prob.mu, prob.nu
-    total = mu.total_mass() + nu.total_mass()
-    feas_tol = FEAS_TOL_FACTOR * max(1.0, total)
-    status, v, iters, msg = simplex_solve(prob.A, prob.b,
-                                          prob.objective_vector(), feas_tol)
+def _feas_tol(prob: MotLp) -> float:
+    return FEAS_TOL_FACTOR * max(1.0, prob.mu.total_mass() + prob.nu.total_mass())
+
+
+def _residual(prob: MotLp, v: np.ndarray) -> tuple:
+    """Max-abs residual of A v = b, and whether it passes the gate."""
+    resid = float(np.abs(prob.A @ v - prob.b).max())
+    return resid, resid <= RESIDUAL_RTOL * max(1.0, float(np.abs(prob.b).max()))
+
+
+def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
+    """Gate a simplex result on its feasibility residual and read off the
+    coupling."""
     if status == "infeasible":
         return LpSolution("infeasible", None, None, None, {}, iters, msg)
     if status != "optimal":
         return LpSolution("numerical-failure", None, None, None, {}, iters, msg)
 
-    resid = float(np.abs(prob.A @ v - prob.b).max())
-    scale = max(1.0, float(np.abs(prob.b).max()))
+    resid, ok = _residual(prob, v)
     residuals = {"feasibility": resid}
-    if resid > RESIDUAL_RTOL * scale:
+    if not ok:
         return LpSolution("numerical-failure", None, None, None, residuals,
                           iters, f"feasibility residual {resid:.3e}")
 
+    mu, nu = prob.mu, prob.nu
     m, n = len(mu), len(nu)
     mat = v.reshape(m, n)
     objective = float(np.tensordot(prob.C, mat))
-    cutoff = 1e-12 * max(1.0, total)
+    cutoff = 1e-12 * max(1.0, mu.total_mass() + nu.total_mass())
     ii, jj = np.nonzero(mat > cutoff)
     pi = Coupling(mu.positions[ii], nu.positions[jj], mat[ii, jj], dim=mu.dim)
     return LpSolution("optimal", pi, objective, mat, residuals, iters, msg)
+
+
+def _solve_assembled(prob: MotLp) -> LpSolution:
+    return _solution(prob, *simplex_solve(prob.A, prob.b,
+                                          prob.objective_vector(), _feas_tol(prob)))
 
 
 def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
@@ -280,38 +352,49 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
 
     Re-solves under `trials` random cost perturbations of magnitude
     eps * (smallest positive gap between cost entries), then runs tie-break
-    passes that pin the optimal objective as a constraint and maximize a
-    random secondary objective. Returns True iff every optimizer found
-    coincides with the base one within 1e-7 entrywise.
+    passes that maximize a random secondary objective over the optimal face:
+    the columns whose reduced cost at the base optimum is at most
+    PIVOT_TOL * max(1, max|C|) (complementary slackness). Returns True iff
+    every optimizer found coincides with the base one within 1e-7
+    entrywise. Every solve must pass the feasibility gate of solve_lp, or
+    SolverFailureError is raised.
     """
     prob = MotLp(mu, nu, p, "min", martingale, cost_matrix)
-    base = _solve_assembled(prob)
+    feas_tol = _feas_tol(prob)
+    *result, reduced = _revised_simplex(prob.A, prob.b,
+                                        prob.objective_vector(), feas_tol)
+    base = _solution(prob, *result)
     if base.status != "optimal":
         raise SolverFailureError(f"probe requires an optimal base solve, got {base.status}")
+
+    m, n = len(mu), len(nu)
+
+    def differs(kind: str, A: np.ndarray, cols, c: np.ndarray) -> bool:
+        """Solve min c over the columns `cols` of the LP (A = prob.A[:, cols])
+        and compare with the base optimizer."""
+        status, v_cols, _, msg = simplex_solve(A, prob.b, c, feas_tol)
+        if status != "optimal":
+            raise SolverFailureError(f"{kind} solve failed: {status} {msg}")
+        v = np.zeros(m * n)
+        v[cols] = v_cols
+        resid, ok = _residual(prob, v)
+        if not ok:
+            raise SolverFailureError(f"{kind} solve failed: feasibility residual {resid:.3e}")
+        return np.abs(v.reshape(m, n) - base.matrix).max() > 1e-7
 
     gaps = np.diff(np.unique(prob.C))
     gap = float(gaps[gaps > 1e-300].min()) if np.any(gaps > 1e-300) else 1.0
     mag = eps * gap
     rng = np.random.default_rng(seed)
-    total = mu.total_mass() + nu.total_mass()
-    feas_tol = FEAS_TOL_FACTOR * max(1.0, total)
-    m, n = len(mu), len(nu)
-
     for _ in range(trials):
         C_pert = prob.C + mag * rng.random((m, n))
-        status, v, _, msg = simplex_solve(prob.A, prob.b, C_pert.ravel(), feas_tol)
-        if status != "optimal":
-            raise SolverFailureError(f"perturbed solve failed: {status} {msg}")
-        if np.abs(v.reshape(m, n) - base.matrix).max() > 1e-7:
+        if differs("perturbed", prob.A, slice(None), C_pert.ravel()):
             return False
 
-    A_tie = np.vstack([prob.A, prob.C.ravel()])
-    b_tie = np.append(prob.b, base.objective)
+    face = np.flatnonzero(reduced <= PIVOT_TOL * max(1.0, float(np.abs(prob.C).max())))
+    A_face = prob.A[:, face]
     for _ in range(max(1, trials // 2)):
         secondary = -rng.random(m * n)   # maximize a random objective
-        status, v, _, msg = simplex_solve(A_tie, b_tie, secondary, feas_tol)
-        if status != "optimal":
-            raise SolverFailureError(f"tie-break solve failed: {status} {msg}")
-        if np.abs(v.reshape(m, n) - base.matrix).max() > 1e-7:
+        if differs("tie-break", A_face, face, secondary[face]):
             return False
     return True

@@ -26,6 +26,7 @@ atom positions, so evaluating it on the merged support is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,8 @@ def nearest_atom(atoms, points) -> np.ndarray:
 
 def _merge_groups(positions: np.ndarray, masses: np.ndarray):
     """One atom per group of `group_atoms`, at the mass-weighted mean of its
-    members, in lexicographic order. Lone atoms keep their exact position."""
+    members, in lexicographic order. Lone atoms, and groups whose members
+    share one exact position, keep that position."""
     labels = group_atoms(positions)
     order = np.lexsort((*_as_rows(positions).T[::-1], labels))
     starts = np.concatenate(([0], np.flatnonzero(np.diff(labels[order])) + 1))
@@ -126,7 +128,8 @@ def _merge_groups(positions: np.ndarray, masses: np.ndarray):
     for g in np.flatnonzero(ends - starts > 1):
         idx = order[starts[g]:ends[g]]
         out_mass[g] = masses[idx].sum()
-        out_pos[g] = np.dot(masses[idx], positions[idx]) / out_mass[g]
+        if np.any(positions[idx] != positions[idx[0]]):
+            out_pos[g] = np.dot(masses[idx], positions[idx]) / out_mass[g]
     final = np.lexsort(_as_rows(out_pos).T[::-1])
     return out_pos[final], out_mass[final]
 
@@ -297,10 +300,15 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if mu.dim != 1 or nu.dim != 1:
         raise InputError("convex order check requires dim=1 measures")
     mass_gap = nu.total_mass() - mu.total_mass()
-    mean_gap = float(np.dot(nu.masses, nu.positions) - np.dot(mu.masses, mu.positions))
     ks = np.union1d(mu.positions, nu.positions)
     if len(ks) == 0:
-        return OrderReport(True, mass_gap, mean_gap, 0.0, 0.0)
+        return OrderReport(True, mass_gap, 0.0, 0.0, 0.0)
+    # first moments about a common centre, summed exactly, so that a large
+    # common offset of the positions does not cancel in the difference
+    c = float(ks[len(ks) // 2])
+    mean_gap = (math.fsum(np.concatenate([nu.masses * (nu.positions - c),
+                                          -mu.masses * (mu.positions - c)]))
+                + c * math.fsum(np.concatenate([nu.masses, -mu.masses])))
     gaps = call_function(nu, ks) - call_function(mu, ks)
     worst = int(np.argmin(gaps))
     in_order = (abs(mass_gap) <= tol and abs(mean_gap) <= tol

@@ -137,3 +137,18 @@ def plant_cross_swap(pi: Coupling, a: float, b: float, tol=1e-9):
     agg[(xp, u)] = agg.get((xp, u), 0.0) + delta
     entries = [(k[0], k[1], v) for k, v in sorted(agg.items()) if v > 1e-15]
     return Coupling.from_entries(entries)
+
+
+def spread_pair_instance(rng, m):
+    """m source atoms on [-1, 1], each split between its own pair of
+    targets, so nu has 2m atoms, many inside the source hull (the LP
+    workload generator of the benchmark)."""
+    x = rng.uniform(-1.0, 1.0, m)
+    w = rng.uniform(0.2, 1.0, m)
+    w /= w.sum()
+    u = rng.uniform(0.05, 1.0, m)
+    v = rng.uniform(0.05, 1.0, m)
+    t = v / (u + v)
+    return (DiscreteMeasure(x, w),
+            DiscreteMeasure(np.concatenate([x - u, x + v]),
+                            np.concatenate([w * t, w * (1 - t)])))

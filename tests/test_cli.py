@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +281,25 @@ class TestMalformedInput:
         out.write_text(json.dumps(doc))
         assert main(["verify", "--coupling", str(out),
                      "--marginals", pair_file]) == 2
+
+
+class TestImports:
+    def test_cli_and_lp_do_not_import_scipy(self):
+        # scipy.optimize alone adds tens of MB and about half a second to
+        # every CLI process
+        code = "\n".join([
+            "import sys",
+            "import motkit.cli",
+            "from motkit import DiscreteMeasure, solve_lp",
+            "mu = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])",
+            "nu = DiscreteMeasure([-2.0, -1.0, 1.0, 2.0], [0.25] * 4)",
+            "assert solve_lp(mu, nu, 1.0).status == 'optimal'",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import motkit.lp
 from motkit import (DiscreteMeasure, MotLp, common_mass_split, cost,
                     detect_separation, diagonal_mass, solve_lp, solve_sweep,
                     uniqueness_probe)
+from motkit.lp import RESIDUAL_RTOL, simplex_solve
 from instances import (overlapping_instance, ring_instance, rotation_2d,
-                       separated_instance)
+                       separated_instance, spread_pair_instance)
 
 
 class TestExamples:
@@ -40,6 +42,16 @@ class TestAgainstScipy:
             ref = linprog(prob.C.ravel(), A_eq=prob.A, b_eq=prob.b,
                           bounds=(0, None), method="highs")
             sol = solve_lp(mu, nu, p)
+            assert sol.status == "optimal" and ref.status == 0
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
+
+    def test_objective_matches_highs_40x80(self):
+        for seed in range(2):
+            mu, nu = spread_pair_instance(np.random.default_rng([41, seed]), 40)
+            prob = MotLp(mu, nu, 1.0)
+            ref = linprog(prob.C.ravel(), A_eq=prob.A, b_eq=prob.b,
+                          bounds=(0, None), method="highs")
+            sol = solve_lp(mu, nu, 1.0)
             assert sol.status == "optimal" and ref.status == 0
             assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
 
@@ -87,6 +99,38 @@ class TestFeasibilityAndDuality:
         assert sol.objective == pytest.approx(-ref.fun, abs=1e-8)
 
 
+class TestRevisedSimplex:
+    def test_redundant_rows_dropped(self):
+        # identical marginals: the coupling is forced onto the diagonal and
+        # the row, column and barycenter rows are linearly dependent
+        mu = DiscreteMeasure(np.linspace(-1.0, 1.0, 7),
+                             [0.1, 0.2, 0.05, 0.15, 0.2, 0.1, 0.2])
+        sol = solve_lp(mu, mu, 1.0)
+        assert sol.status == "optimal"
+        assert np.abs(sol.matrix - np.diag(mu.masses)).max() <= 1e-12
+        # a repeated (scaled) row, and a row stated with negative sign
+        A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, -1.0, -1.0]])
+        b = np.array([1.0, 2.0, -1.0])
+        status, v, _, _ = simplex_solve(A, b, np.array([1.0, 3.0, 1.0]), 1e-8)
+        assert status == "optimal"
+        assert np.allclose(v, [1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
+
+    def test_bland_fallback_on_cycling_instance(self):
+        # Chvatal's example (Linear Programming, 1983, ch. 3): Dantzig
+        # pricing with the lowest-index leaving rule cycles through six
+        # degenerate bases of phase 2 and never reaches the optimum -1
+        A = np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
+                      [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        c = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+        status, v, _, msg = simplex_solve(A, b, c, 1e-8)
+        assert status == "optimal"
+        assert msg == "Bland's rule switched on in phase 2"
+        assert np.abs(A @ v - b).max() <= 1e-12 and v.min() >= 0.0
+        assert c @ v == pytest.approx(-1.0, abs=1e-12)
+
+
 class TestStayPut:
     def test_common_mass_on_diagonal(self):
         rng = np.random.default_rng(61)
@@ -125,6 +169,23 @@ class TestUniquenessProbe:
         mu = DiscreteMeasure([0.0], [1.0])
         nu = DiscreteMeasure([-2.0, 2.0], [0.5, 0.5])
         assert uniqueness_probe(mu, nu, 1.0, trials=3, seed=2)
+
+    def test_every_solve_passes_feasibility_gate(self, monkeypatch):
+        solve = motkit.lp.simplex_solve
+        scaled_residuals = []
+
+        def checked(A, b, c, feas_tol):
+            status, v, iters, msg = solve(A, b, c, feas_tol)
+            assert status == "optimal"
+            scaled_residuals.append(float(np.abs(np.asarray(A) @ v - b).max())
+                                    / max(1.0, float(np.abs(b).max())))
+            return status, v, iters, msg
+
+        monkeypatch.setattr(motkit.lp, "simplex_solve", checked)
+        mu, nu = spread_pair_instance(np.random.default_rng([777, 19]), 20)
+        assert uniqueness_probe(mu, nu, 1.0)
+        assert len(scaled_residuals) >= 9      # 6 perturbed + 3 tie-break
+        assert max(scaled_residuals) <= RESIDUAL_RTOL
 
     def test_degenerate_plain_ot_not_unique(self):
         mu = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,9 @@ class TestConvexOrder:
                 dense_gap = float(np.min(dense_calls(nu, ks) - dense_calls(mu, ks)))
                 rep = convex_order_check(mu, nu)
                 assert abs(rep.worst_gap - dense_gap) <= 1e-12
+                exact = (sum(Fraction(w) * Fraction(x) for x, w in nu.atoms())
+                         - sum(Fraction(w) * Fraction(x) for x, w in mu.atoms()))
+                assert abs(rep.mean_gap - exact) <= 1e-12
                 if offset == 0.0:
                     # shifted positions round by up to half an ulp of the
                     # offset, which moves the means by about the 1e-10
@@ -225,6 +229,15 @@ class TestConstruction:
         m = DiscreteMeasure([1.0, 1.0 + 5e-13], [0.75, 0.25])
         assert len(m) == 1
         assert abs(m.positions[0] - (1.0 + 1.25e-13)) < 1e-15
+
+    def test_shared_exact_position_kept(self):
+        # the weighted mean of three equal positions rounds one ulp away
+        x = -0.9983333333333333
+        m = DiscreteMeasure([x] * 3, [0.1, 0.2, 0.3])
+        assert len(m) == 1
+        assert m.positions[0] == x
+        m2 = DiscreteMeasure([[x, 1 / 3]] * 3, [0.1, 0.2, 0.3], dim=2)
+        assert np.array_equal(m2.positions, [[x, 1 / 3]])
 
     def test_negative_mass_rejected(self):
         with pytest.raises(InputError):
