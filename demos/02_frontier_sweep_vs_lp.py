@@ -46,4 +46,4 @@ for p in (0.3, 0.6, 1.0):
     print(f"p={p}: sweep cost {cost(pi, p):.10f}  LP cost {sol.objective:.10f}  "
           f"entrywise gap {gap:.2e}")
 
-print("\nLP optimum unique (probe):", uniqueness_probe(mu, nu, 1.0, trials=4))
+print("\nLP optimum unique (probe):", uniqueness_probe(mu, nu, 1.0))

@@ -13,8 +13,10 @@ self-contained revised two-phase simplex: it keeps only the basis inverse
 B^-1 and the basic values, prices the nonzeros of A, forms the entering
 column alone and updates B^-1 by a rank-1 step, so a pivot costs
 O(rows^2 + nnz(A)) (Dantzig pricing with a Bland's-rule fallback once the
-objective stalls). Infeasibility of phase 1 is exactly the convex-order
-failure of the marginals.
+objective stalls); B^-1 is recomputed from the basic columns after every
+rows-many updates. Infeasibility of phase 1 is exactly the convex-order
+failure of the marginals. uniqueness_probe decides whether the optimum is
+unique with one more LP, over the optimal face of the base solve.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ class _Basis:
     column.
 
     Column j < n is column j of A; column n + k is the artificial unit
-    vector of row k.
+    vector of row k. B^-1 is updated by rank-1 steps and recomputed from the
+    basic columns after every len(basis) of them, so rounding does not grow
+    with the pivot count.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -50,9 +54,11 @@ class _Basis:
         self._set_nonzeros(np.concatenate([nz_row, np.arange(m)]),
                            np.concatenate([nz_col, np.arange(self.n, self.width)]),
                            np.concatenate([A[nz_row, nz_col] * sign[nz_row], np.ones(m)]))
+        self.b = np.abs(b)
         self.inv = np.eye(m)
         self.basis = np.arange(self.n, self.width)
-        self.x = np.abs(b)
+        self.x = self.b.copy()
+        self.updates = 0
 
     def _set_nonzeros(self, nz_row, nz_col, nz_val):
         self.nz_row, self.nz_col, self.nz_val = nz_row, nz_col, nz_val
@@ -81,6 +87,20 @@ class _Basis:
         self.inv -= np.outer(u, pivot_row)
         self.inv[row] = pivot_row
         self.basis[row] = q
+        self.updates += 1
+        if self.updates >= len(self.basis):
+            self.refactorize()
+
+    def refactorize(self):
+        """Recompute B^-1 and the basic values from the basic columns."""
+        k = len(self.basis)
+        B = np.zeros((k, k))
+        for pos, q in enumerate(self.basis):
+            lo, hi = self.nz_start[q], self.nz_start[q + 1]
+            B[self.nz_row[lo:hi], pos] = self.nz_val[lo:hi]
+        self.inv = np.linalg.inv(B)
+        self.x = self.inv @ self.b
+        self.updates = 0
 
     def drop(self, rows: list):
         """Delete basic positions `rows`, each held by the artificial of a
@@ -93,6 +113,7 @@ class _Basis:
         self.inv = self.inv[keep][:, keep_con]
         self.basis = self.basis[keep]
         self.x = self.x[keep]
+        self.b = self.b[keep_con]
         new_row = np.cumsum(keep_con) - 1
         sel = keep_con[self.nz_row]
         self._set_nonzeros(new_row[self.nz_row[sel]], self.nz_col[sel],
@@ -203,14 +224,12 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 @dataclass(frozen=True)
 class MotLp:
-    """Assembled LP data for a martingale (or plain) transport instance."""
+    """Assembled LP data for a martingale transport instance."""
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     p: float
     sense: str = "min"
-    martingale: bool = True
-    cost_matrix: np.ndarray | None = None
     A: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
@@ -226,21 +245,16 @@ class MotLp:
             raise InputError(f"instance too large: {m}x{n} > {MAX_VARIABLES} variables")
         if self.sense not in ("min", "max"):
             raise InputError("sense must be 'min' or 'max'")
-        if self.cost_matrix is not None:
-            C = np.asarray(self.cost_matrix, dtype=float)
-            if C.shape != (m, n):
-                raise InputError("cost matrix shape mismatch")
+        if self.p <= 0:
+            raise InputError("cost exponent must be positive")
+        if d == 1:
+            dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
         else:
-            if self.p <= 0:
-                raise InputError("cost exponent must be positive")
-            if d == 1:
-                dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
-            else:
-                dist = np.linalg.norm(
-                    mu.positions[:, None, :] - nu.positions[None, :, :], axis=2)
-            C = dist ** self.p
+            dist = np.linalg.norm(
+                mu.positions[:, None, :] - nu.positions[None, :, :], axis=2)
+        C = dist ** self.p
 
-        rows = m + n + (d * m if self.martingale else 0)
+        rows = m + n + d * m
         A = np.zeros((rows, m * n))
         b = np.zeros(rows)
         for i in range(m):
@@ -249,14 +263,13 @@ class MotLp:
         for j in range(n):
             A[m + j, j::n] = 1.0
             b[m + j] = nu.masses[j]
-        if self.martingale:
-            ypos = nu.positions if d > 1 else nu.positions[:, None]
-            xpos = mu.positions if d > 1 else mu.positions[:, None]
-            for i in range(m):
-                for k in range(d):
-                    r = m + n + i * d + k
-                    A[r, i * n:(i + 1) * n] = ypos[:, k]
-                    b[r] = xpos[i, k] * mu.masses[i]
+        ypos = nu.positions if d > 1 else nu.positions[:, None]
+        xpos = mu.positions if d > 1 else mu.positions[:, None]
+        for i in range(m):
+            for k in range(d):
+                r = m + n + i * d + k
+                A[r, i * n:(i + 1) * n] = ypos[:, k]
+                b[r] = xpos[i, k] * mu.masses[i]
         for arr in (A, b, C):
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -285,6 +298,11 @@ def _feas_tol(prob: MotLp) -> float:
     return FEAS_TOL_FACTOR * max(1.0, prob.mu.total_mass() + prob.nu.total_mass())
 
 
+def _support_cutoff(prob: MotLp) -> float:
+    """Entries at or below this are outside a solution's support."""
+    return 1e-12 * max(1.0, prob.mu.total_mass() + prob.nu.total_mass())
+
+
 def _residual(prob: MotLp, v: np.ndarray) -> tuple:
     """Max-abs residual of A v = b, and whether it passes the gate."""
     resid = float(np.abs(prob.A @ v - prob.b).max())
@@ -309,8 +327,7 @@ def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
     m, n = len(mu), len(nu)
     mat = v.reshape(m, n)
     objective = float(np.tensordot(prob.C, mat))
-    cutoff = 1e-12 * max(1.0, mu.total_mass() + nu.total_mass())
-    ii, jj = np.nonzero(mat > cutoff)
+    ii, jj = np.nonzero(mat > _support_cutoff(prob))
     pi = Coupling(mu.positions[ii], nu.positions[jj], mat[ii, jj], dim=mu.dim)
     return LpSolution("optimal", pi, objective, mat, residuals, iters, msg)
 
@@ -343,23 +360,20 @@ def diagonal_mass(sol: LpSolution) -> float:
     return float(pi.masses[on_diag].sum())
 
 
-def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-                     trials: int = 6, eps: float = 1e-5, *,
-                     martingale: bool = True,
-                     cost_matrix: np.ndarray | None = None,
-                     seed: int = 0) -> bool:
-    """Heuristic certificate that the LP optimum is unique.
+def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:
+    """Decide whether the LP optimum is unique.
 
-    Re-solves under `trials` random cost perturbations of magnitude
-    eps * (smallest positive gap between cost entries), then runs tie-break
-    passes that maximize a random secondary objective over the optimal face:
-    the columns whose reduced cost at the base optimum is at most
-    PIVOT_TOL * max(1, max|C|) (complementary slackness). Returns True iff
-    every optimizer found coincides with the base one within 1e-7
-    entrywise. Every solve must pass the feasibility gate of solve_lp, or
+    The optimal set is the feasible set restricted to the optimal face: the
+    columns whose reduced cost at the base optimum is at most
+    PIVOT_TOL * max(1, max|C|) (complementary slackness). The base optimum
+    is a vertex, so its support columns are independent and it is the only
+    optimizer iff no optimizer puts mass on a face column that the base
+    leaves empty. One LP over the face maximizes that mass; returns True iff
+    its maximizer coincides with the base optimizer within 1e-7 entrywise.
+    Both solves must pass the feasibility gate of solve_lp, or
     SolverFailureError is raised.
     """
-    prob = MotLp(mu, nu, p, "min", martingale, cost_matrix)
+    prob = MotLp(mu, nu, p)
     feas_tol = _feas_tol(prob)
     *result, reduced = _revised_simplex(prob.A, prob.b,
                                         prob.objective_vector(), feas_tol)
@@ -367,34 +381,15 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     if base.status != "optimal":
         raise SolverFailureError(f"probe requires an optimal base solve, got {base.status}")
 
-    m, n = len(mu), len(nu)
-
-    def differs(kind: str, A: np.ndarray, cols, c: np.ndarray) -> bool:
-        """Solve min c over the columns `cols` of the LP (A = prob.A[:, cols])
-        and compare with the base optimizer."""
-        status, v_cols, _, msg = simplex_solve(A, prob.b, c, feas_tol)
-        if status != "optimal":
-            raise SolverFailureError(f"{kind} solve failed: {status} {msg}")
-        v = np.zeros(m * n)
-        v[cols] = v_cols
-        resid, ok = _residual(prob, v)
-        if not ok:
-            raise SolverFailureError(f"{kind} solve failed: feasibility residual {resid:.3e}")
-        return np.abs(v.reshape(m, n) - base.matrix).max() > 1e-7
-
-    gaps = np.diff(np.unique(prob.C))
-    gap = float(gaps[gaps > 1e-300].min()) if np.any(gaps > 1e-300) else 1.0
-    mag = eps * gap
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        C_pert = prob.C + mag * rng.random((m, n))
-        if differs("perturbed", prob.A, slice(None), C_pert.ravel()):
-            return False
-
+    base_v = base.matrix.ravel()
     face = np.flatnonzero(reduced <= PIVOT_TOL * max(1.0, float(np.abs(prob.C).max())))
-    A_face = prob.A[:, face]
-    for _ in range(max(1, trials // 2)):
-        secondary = -rng.random(m * n)   # maximize a random objective
-        if differs("tie-break", A_face, face, secondary[face]):
-            return False
-    return True
+    empty = (base_v[face] <= _support_cutoff(prob)).astype(float)
+    status, v_face, _, msg = simplex_solve(prob.A[:, face], prob.b, -empty, feas_tol)
+    if status != "optimal":
+        raise SolverFailureError(f"face solve failed: {status} {msg}")
+    v = np.zeros(len(base_v))
+    v[face] = v_face
+    resid, ok = _residual(prob, v)
+    if not ok:
+        raise SolverFailureError(f"face solve failed: feasibility residual {resid:.3e}")
+    return bool(np.abs(v - base_v).max() <= 1e-7)

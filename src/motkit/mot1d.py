@@ -456,8 +456,7 @@ def write_coupling_json(path, pi: Coupling, cost_value=None,
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def read_coupling_json(path):

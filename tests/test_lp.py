@@ -3,9 +3,9 @@ import pytest
 from scipy.optimize import linprog
 
 import motkit.lp
-from motkit import (DiscreteMeasure, MotLp, common_mass_split, cost,
-                    detect_separation, diagonal_mass, solve_lp, solve_sweep,
-                    uniqueness_probe)
+from motkit import (Coupling, DiscreteMeasure, MotLp, common_mass_split,
+                    cost, detect_separation, diagonal_mass, solve_lp,
+                    solve_sweep, uniqueness_probe, validate_coupling)
 from motkit.lp import RESIDUAL_RTOL, simplex_solve
 from instances import (overlapping_instance, ring_instance, rotation_2d,
                        separated_instance, spread_pair_instance)
@@ -130,6 +130,15 @@ class TestRevisedSimplex:
         assert np.abs(A @ v - b).max() <= 1e-12 and v.min() >= 0.0
         assert c @ v == pytest.approx(-1.0, abs=1e-12)
 
+    def test_refactorized_residuals_40x80(self):
+        # rounding must not grow with the pivot count: B^-1 is recomputed
+        # from the basic columns, so these residuals stay below 1e-15
+        for seed in range(3):
+            mu, nu = spread_pair_instance(np.random.default_rng([1234, 40, seed]), 40)
+            sol = solve_lp(mu, nu, 1.0)
+            assert sol.status == "optimal"
+            assert sol.residuals["feasibility"] <= 2e-15
+
 
 class TestStayPut:
     def test_common_mass_on_diagonal(self):
@@ -160,15 +169,24 @@ class TestStayPut:
 
 
 class TestUniquenessProbe:
-    def test_separated_instance_unique(self):
-        rng = np.random.default_rng(71)
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    @pytest.mark.parametrize("p", [0.3, 0.6, 1.0])
+    def test_separated_instance_unique(self, p, seed):
+        rng = np.random.default_rng(seed)
         mu, nu = separated_instance(rng, kmax=6)
-        assert uniqueness_probe(mu, nu, 1.0, trials=4, seed=1)
+        assert uniqueness_probe(mu, nu, p)
 
     def test_singleton_feasible_set(self):
         mu = DiscreteMeasure([0.0], [1.0])
         nu = DiscreteMeasure([-2.0, 2.0], [0.5, 0.5])
-        assert uniqueness_probe(mu, nu, 1.0, trials=3, seed=2)
+        assert uniqueness_probe(mu, nu, 1.0)
+
+    @pytest.mark.parametrize("n_fold", [6, 8, 12])
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_ring_instance_unique(self, p, n_fold):
+        # d = 2, radially symmetric: each atom splits along its own ray
+        mu, nu = ring_instance(n_fold)
+        assert uniqueness_probe(mu, nu, p)
 
     def test_every_solve_passes_feasibility_gate(self, monkeypatch):
         solve = motkit.lp.simplex_solve
@@ -184,15 +202,27 @@ class TestUniquenessProbe:
         monkeypatch.setattr(motkit.lp, "simplex_solve", checked)
         mu, nu = spread_pair_instance(np.random.default_rng([777, 19]), 20)
         assert uniqueness_probe(mu, nu, 1.0)
-        assert len(scaled_residuals) >= 9      # 6 perturbed + 3 tie-break
+        assert len(scaled_residuals) == 1      # the face LP
         assert max(scaled_residuals) <= RESIDUAL_RTOL
 
-    def test_degenerate_plain_ot_not_unique(self):
-        mu = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
-        nu = DiscreteMeasure([2.0, 3.0], [0.5, 0.5])
-        zero_cost = np.zeros((2, 2))
-        assert not uniqueness_probe(mu, nu, 1.0, trials=4, seed=3,
-                                    martingale=False, cost_matrix=zero_cost)
+    def test_segment_of_optimizers_not_unique(self):
+        mu = DiscreteMeasure([-2.0, 0.0], [0.5, 0.5])
+        nu = DiscreteMeasure([-5.0, -1.0, 1.0, 3.0], [0.25, 0.375, 0.25, 0.125])
+        sol = solve_lp(mu, nu, 1.0)
+        base = np.array([[0.125, 0.375, 0.0, 0.0], [0.125, 0.0, 0.25, 0.125]])
+        assert np.abs(sol.matrix - base).max() <= 1e-12
+        # moving t * (1, -2, 0, 1) from row x = 0 to row x = -2 keeps both
+        # marginals and both barycenters, and changes the cost by
+        # t * ((3^p - 5^p) + (5^p - 3^p)) = 0, for 0 <= t <= 0.125
+        delta = np.array([[1.0, -2.0, 0.0, 1.0], [-1.0, 2.0, 0.0, -1.0]])
+        for t in (0.05, 0.125):
+            other = base + t * delta
+            assert other.min() >= 0.0
+            ii, jj = np.nonzero(other)
+            pi = Coupling(mu.positions[ii], nu.positions[jj], other[ii, jj])
+            assert validate_coupling(pi, mu, nu).max_residual() <= 1e-12
+            assert cost(pi, 1.0) == pytest.approx(sol.objective, abs=1e-12)
+        assert not uniqueness_probe(mu, nu, 1.0)
 
 
 class TestInputContracts:
@@ -213,7 +243,7 @@ class TestInputContracts:
         mu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
         nu = DiscreteMeasure([0.0], [1.0])
         with pytest.raises(SolverFailureError):
-            uniqueness_probe(mu, nu, 1.0, trials=2)
+            uniqueness_probe(mu, nu, 1.0)
 
 
 class TestPlanarInstances:
