@@ -107,25 +107,28 @@ class Coupling:
     def target_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.ys, self.masses, self.dim)
 
+    def row_segments(self):
+        """Sort order of the entries by (row, x, y) and the first position of
+        each row in it. A row is one `group_atoms` group of the sources, and
+        rows are ordered by source, so a row's first entry holds its
+        smallest source."""
+        n = len(self)
+        labels = group_atoms(self.xs)
+        order = np.lexsort((*self.ys.reshape(n, self.dim).T[::-1],
+                            *self.xs.reshape(n, self.dim).T[::-1], labels))
+        return order, np.flatnonzero(np.diff(labels[order], prepend=-1))
+
     def rows(self):
         """Group entries by source atom: list of (x, target array, mass array).
 
-        Sources of one `group_atoms` group form one row, ordered by source;
-        x is the row's smallest source and entries are sorted by (x, y).
+        Rows follow `row_segments`: x is the row's smallest source and
+        entries are sorted by (x, y).
         """
-        if len(self) == 0:
-            return []
-        n = len(self)
-        labels = group_atoms(self.xs)
-        order = np.lexsort((*self.ys.reshape(n, -1).T[::-1],
-                            *self.xs.reshape(n, -1).T[::-1], labels))
+        order, starts = self.row_segments()
         xs, ys, w = self.xs[order], self.ys[order], self.masses[order]
-        breaks = np.flatnonzero(np.diff(labels[order])) + 1
-        out = []
-        for idx in np.split(np.arange(len(xs)), breaks):
-            x = float(xs[idx[0]]) if self.dim == 1 else xs[idx[0]]
-            out.append((x, ys[idx], w[idx]))
-        return out
+        ends = np.append(starts[1:], len(order))
+        return [(float(xs[s]) if self.dim == 1 else xs[s], ys[s:e], w[s:e])
+                for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,8 @@ class TransportMaps:
     def __post_init__(self):
         for name in ("xs", "lower", "upper", "lower_frac", "upper_frac"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(arr).all():
+                raise InputError("map values must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = len(self.xs)

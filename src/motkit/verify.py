@@ -11,6 +11,9 @@ Three kinds of certificates:
 
   strictly lowers cost. For concave |.|^p, 0 < p <= 1, that happens exactly
   in the two patterns  y- < x' < x <= y'  and  y' <= x < x' < y+.
+  The search is output-sensitive: it flags the rows that hold a
+  configuration with two box counts over all rows at once, O(n log^2 n) for
+  n entries, and lists configurations pair by pair in flagged rows only.
 
 * monotone frontier maps: the per-row deepest targets of a sweep solution
   must be nonincreasing in the source position, with repeats allowed only
@@ -20,6 +23,9 @@ Three kinds of certificates:
   the vertical axis strictly lowers the transport cost from an off-center
   point whenever h'(s)/s is strictly decreasing (h(s) = s^q, 0 < q < 2);
   at q = 2 the cost curve is exactly flat.
+
+Per-row quantities (target bounds, barycenter residuals, target counts) are
+segment reductions over one sort of the entries, `Coupling.row_segments`.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ from .measures import DiscreteMeasure, group_atoms, nearest_atom
 from .mot1d import Coupling, TransportMaps, check_exponent
 
 DETECT_MASS_TOL = 1e-10
+
+
+def _row_of(starts: np.ndarray, n: int) -> np.ndarray:
+    """Row index of each of n entries in `Coupling.row_segments` order."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
 
 
 @dataclass(frozen=True)
@@ -52,28 +63,89 @@ class ForbiddenConfig:
                 self.y_prime, self.pattern)
 
 
-def detect_forbidden(pi: Coupling, tol: float = DETECT_MASS_TOL):
-    """Exhaustively search the support of a 1-D coupling for forbidden
-    three-point configurations. Entries with mass <= tol are ignored.
+def _dominance_counts(ranks: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each query k, the number of positions j < i[k] with
+    ranks[j] < t[k]; `ranks` is a permutation of 0..n-1.
 
-    For every source atom x with a target pair y- < y+ the whole support is
-    scanned for entries (x', y') with y- < y' < y+ in pattern A
-    (y- < x' < x <= y') or pattern B (y' <= x < x' < y+); the scan is
-    vectorized over entries, keeping the search exhaustive at desk scale.
+    A merge-sort tree: level l sorts the ranks inside blocks of 2**l
+    positions, and a prefix [0, i) is the union of one level-l block for
+    each set bit l of i. Each level is built from the one below and answers
+    every query before the next is built, so memory stays O(n + q) and the
+    time is O((n + q) log^2 n).
+    """
+    n = len(ranks)
+    slots = np.arange(n)
+    keys = ranks.astype(np.int64)
+    out = np.zeros(len(i), dtype=np.int64)
+    level = 0
+    while (1 << level) <= n:
+        # blocks of 2**level slots, each sorted by rank: block b's keys lie
+        # in [b n, (b + 1) n), after the b 2**level keys of earlier blocks
+        keys = np.sort((slots >> level) * n + keys % n, kind="stable")
+        has = (i >> level) & 1 == 1
+        b = (i[has] >> level) - 1
+        out[has] += np.searchsorted(keys, b * n + t[has]) - (b << level)
+        level += 1
+    return out
+
+
+def _flag_rows(x, y_min, y_max, ex, ey) -> np.ndarray:
+    """True for each row (x, y_min, y_max) with an entry (ex, ey) in box A,
+    (y_min, x) x [x, y_max), or in box B, (x, y_max) x (y_min, x]."""
+    by_x = np.argsort(ex, kind="stable")
+    ranks = np.empty(len(ey), dtype=np.int64)
+    ranks[np.argsort(ey[by_x], kind="stable")] = np.arange(len(ey))
+    sx, sy = ex[by_x], np.sort(ey)
+    # open bounds become half-open ones: v < z  iff  nextafter(v, inf) <= z
+    lo_up, x_up = np.nextafter(y_min, np.inf), np.nextafter(x, np.inf)
+    # boxes A then B as position ranges [i0, i1) in sx and ranks [t0, t1)
+    i0 = np.searchsorted(sx, np.concatenate((lo_up, x_up)))
+    i1 = np.maximum(np.searchsorted(sx, np.concatenate((x, y_max))), i0)
+    t0 = np.searchsorted(sy, np.concatenate((x, lo_up)))
+    t1 = np.maximum(np.searchsorted(sy, np.concatenate((y_max, x_up))), t0)
+    d = _dominance_counts(ranks, np.concatenate((i1, i1, i0, i0)),
+                          np.concatenate((t1, t0, t1, t0))).reshape(4, -1)
+    return ((d[0] - d[1] - d[2] + d[3]).reshape(2, -1) > 0).any(axis=0)
+
+
+def detect_forbidden(pi: Coupling, tol: float = DETECT_MASS_TOL):
+    """List every forbidden three-point configuration in the support of a
+    1-D coupling. Entries with mass <= tol are ignored.
+
+    A source atom x with targets y- < y+ is forbidden by an entry (x', y')
+    with y- < y' < y+ in pattern A (y- < x' < x <= y') or pattern B
+    (y' <= x < x' < y+). Both patterns only weaken as the pair widens, so a
+    row has a configuration iff one holds for its widest pair (y_min, y_max):
+    an entry in  (y_min, x) x [x, y_max)  (A) or  (x, y_max) x (y_min, x]
+    (B). The search flags rows by counting entries in these boxes for all
+    rows at once (`_dominance_counts`, O(n log^2 n) for n entries), then
+    lists the configurations of the flagged rows only, pair by pair. A
+    valid optimizer has no flagged rows. The list is ordered by row, by
+    target pair, by pattern and by entry index.
     """
     if pi.dim != 1:
         raise InputError("detector supports dim=1 couplings")
     keep = pi.masses > tol
+    if not keep.any():
+        return []
     ex = pi.xs[keep]
     ey = pi.ys[keep]
+    order, starts = pi.row_segments()
+    xs = pi.xs[order][starts]
+    ys = pi.ys[order]
+    kept = keep[order]
+    y_min = np.minimum.reduceat(np.where(kept, ys, np.inf), starts)
+    y_max = np.maximum.reduceat(np.where(kept, ys, -np.inf), starts)
+    flagged = _flag_rows(xs, y_min, y_max, ex, ey)
+    ends = np.append(starts[1:], len(order))
     found = []
-    for x, ys, ws in pi.rows():
-        ys = np.sort(ys[ws > tol])
-        if len(ys) < 2:
-            continue
-        for i in range(len(ys)):
-            for k in range(i + 1, len(ys)):
-                y_m, y_p = float(ys[i]), float(ys[k])
+    for r in np.flatnonzero(flagged).tolist():
+        x = float(xs[r])
+        row = slice(starts[r], ends[r])
+        row_ys = np.sort(ys[row][kept[row]])
+        for i in range(len(row_ys)):
+            for k in range(i + 1, len(row_ys)):
+                y_m, y_p = float(row_ys[i]), float(row_ys[k])
                 between = (ey > y_m) & (ey < y_p)
                 mask_a = between & (ex > y_m) & (ex < x) & (ey >= x)
                 mask_b = between & (ey <= x) & (ex > x) & (ex < y_p)
@@ -107,19 +179,15 @@ def swap_gain(x: float, y_minus: float, y_plus: float, x_prime: float,
 
 def check_decreasing(maps: TransportMaps, tol: float = 1e-12) -> bool:
     """True iff both frontier maps are nonincreasing along the rows, with
-    equal values allowed only across a shared, partially consumed atom."""
+    equal values allowed only across a shared, partially consumed atom:
+    there the earlier row must have left mass in the atom, and consumption
+    can only grow."""
     for vals, fracs in ((maps.lower, maps.lower_frac),
                         (maps.upper, maps.upper_frac)):
-        for i in range(len(vals) - 1):
-            if vals[i + 1] > vals[i] + tol:
-                return False
-            if abs(vals[i + 1] - vals[i]) <= tol:
-                # same atom: the earlier row must have left mass in it and
-                # consumption can only grow
-                if fracs[i] >= 1.0 - tol:
-                    return False
-                if fracs[i + 1] < fracs[i] - tol:
-                    return False
+        same = np.abs(np.diff(vals)) <= tol
+        spent = (fracs[:-1] >= 1.0 - tol) | (fracs[1:] < fracs[:-1] - tol)
+        if ((vals[1:] > vals[:-1] + tol) | (same & spent)).any():
+            return False
     return True
 
 
@@ -199,12 +267,12 @@ def count_targets_per_side(pi: Coupling, a: float, b: float,
     """Per row of a separated coupling, how many nu atoms it touches on each
     tail. Entries below rel_tol of the row mass are ignored. Returns a list
     of (n_lower, n_upper) ordered by the source position."""
-    out = []
-    for _, ys, ws in pi.rows():
-        cut = rel_tol * float(ws.sum())
-        real = ys[ws > cut]
-        out.append((int((real <= a).sum()), int((real >= b).sum())))
-    return out
+    order, starts = pi.row_segments()
+    ys, w = pi.ys[order], pi.masses[order]
+    real = w > rel_tol * np.add.reduceat(w, starts)[_row_of(starts, len(w))]
+    counts = [np.add.reduceat((real & side).astype(np.intp), starts).tolist()
+              for side in (ys <= a, ys >= b)]
+    return list(zip(*counts))
 
 
 @dataclass(frozen=True)
@@ -251,6 +319,11 @@ def validate_coupling(pi: Coupling, mu: DiscreteMeasure,
         stray = np.bincount(group_atoms(points[~hit]), weights=pi.masses[~hit])
         resid.append(float(max(np.abs(got - m.masses).max(initial=0.0),
                                stray.max(initial=0.0))))
-    bary = max(float(np.abs(ws @ ys - x * ws.sum()).max())
-               for x, ys, ws in pi.rows())
+    # sum of w (y - x) per row, x the row's smallest source
+    order, starts = pi.row_segments()
+    n = len(order)
+    xs = pi.xs.reshape(n, -1)[order]
+    ys = pi.ys.reshape(n, -1)[order]
+    spread = pi.masses[order, None] * (ys - xs[starts][_row_of(starts, n)])
+    bary = float(np.abs(np.add.reduceat(spread, starts)).max())
     return ValidationReport(resid[0], resid[1], bary)

@@ -282,6 +282,15 @@ class TestMalformedInput:
         assert main(["verify", "--coupling", str(out),
                      "--marginals", pair_file]) == 2
 
+    def test_nan_in_maps_exit_two(self, pair_file, tmp_path):
+        out = tmp_path / "pi.json"
+        assert main(["solve", pair_file, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["maps"][-1][1] = float("nan")
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "--coupling", str(out),
+                     "--marginals", pair_file]) == 2
+
 
 class TestImports:
     def test_cli_and_lp_do_not_import_scipy(self):

@@ -1,14 +1,70 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motkit import (Coupling, DeformationInstance, DiscreteMeasure,
                     InputError, TransportMaps, check_decreasing,
-                    coupling_matrix, curve_is_constant,
-                    curve_is_strictly_decreasing, deformation_curve,
-                    detect_forbidden, detect_separation,
-                    random_deformation_instance, solve_sweep, swap_gain,
-                    validate_coupling)
-from instances import plant_cross_swap, separated_instance
+                    count_targets_per_side, coupling_matrix,
+                    curve_is_constant, curve_is_strictly_decreasing,
+                    deformation_curve, detect_forbidden, detect_separation,
+                    quantize, random_deformation_instance, solve_sweep,
+                    swap_gain, validate_coupling)
+from motkit.verify import DETECT_MASS_TOL, ForbiddenConfig, _flag_rows
+from instances import (plant_cross_swap, separated_instance,
+                       six_atom_symmetric_nu, triangular_grid)
+
+
+def exhaustive_forbidden(pi, tol=DETECT_MASS_TOL):
+    """Every target pair of every row against every entry. Rows group
+    sources by exact position, which is the `group_atoms` grouping for
+    positions on a grid much coarser than POSITION_TOL."""
+    keep = pi.masses > tol
+    ex = pi.xs[keep]
+    ey = pi.ys[keep]
+    found = []
+    for x in np.unique(pi.xs).tolist():
+        ys = np.sort(pi.ys[(pi.xs == x) & keep])
+        for i in range(len(ys)):
+            for k in range(i + 1, len(ys)):
+                y_m, y_p = float(ys[i]), float(ys[k])
+                between = (ey > y_m) & (ey < y_p)
+                mask_a = between & (ex > y_m) & (ex < x) & (ey >= x)
+                mask_b = between & (ey <= x) & (ex > x) & (ex < y_p)
+                for idx in np.nonzero(mask_a)[0]:
+                    found.append(ForbiddenConfig(x, y_m, y_p,
+                                                 float(ex[idx]), float(ey[idx]), "A"))
+                for idx in np.nonzero(mask_b)[0]:
+                    found.append(ForbiddenConfig(x, y_m, y_p,
+                                                 float(ex[idx]), float(ey[idx]), "B"))
+    return found
+
+
+# half-integer positions, so x = y' and y' = x' boundaries are common, and
+# dust masses at and below the detector's threshold
+grid_points = st.integers(-8, 8).map(lambda k: k / 2)
+entry_masses = st.sampled_from([DETECT_MASS_TOL, 0.5 * DETECT_MASS_TOL,
+                                0.01, 0.25, 1.0])
+
+
+@st.composite
+def grid_couplings(draw):
+    entries = draw(st.lists(st.tuples(grid_points, grid_points, entry_masses),
+                            min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        # plant a pattern: A is y- < x' < x <= y' < y+, B is y- < y' <= x < x' < y+
+        v = sorted(draw(st.lists(grid_points, min_size=5, max_size=5, unique=True)))
+        y_m, y_p = v[0], v[4]
+        if draw(st.booleans()):
+            x_p, x = v[1], v[2]
+            y_pr = v[2] if draw(st.booleans()) else v[3]
+        else:
+            x, x_p = v[2], v[3]
+            y_pr = v[2] if draw(st.booleans()) else v[1]
+        w = draw(st.tuples(entry_masses, entry_masses, entry_masses))
+        entries += [(x, y_m, w[0]), (x, y_p, w[1]), (x_p, y_pr, w[2])]
+    order = draw(st.permutations(range(len(entries))))
+    return Coupling.from_entries([entries[i] for i in order])
 
 
 class TestDetectForbidden:
@@ -52,6 +108,34 @@ class TestDetectForbidden:
         pi = Coupling.from_entries([(0.0, -2.0, 0.25), (0.0, 2.0, 1e-13),
                                     (-1.0, 1.0, 0.5)])
         assert detect_forbidden(pi, tol=1e-10) == []
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(grid_couplings())
+    def test_equals_exhaustive_search(self, pi):
+        assert detect_forbidden(pi) == exhaustive_forbidden(pi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_couplings())
+    def test_flags_exactly_rows_with_configurations(self, pi):
+        keep = pi.masses > DETECT_MASS_TOL
+        rows = np.unique(pi.xs)
+        y_min = np.array([pi.ys[keep & (pi.xs == x)].min(initial=np.inf) for x in rows])
+        y_max = np.array([pi.ys[keep & (pi.xs == x)].max(initial=-np.inf) for x in rows])
+        flagged = _flag_rows(rows, y_min, y_max, pi.xs[keep], pi.ys[keep])
+        with_config = {c.x for c in exhaustive_forbidden(pi)}
+        assert flagged.tolist() == [x in with_config for x in rows.tolist()]
+
+    def test_dust_at_threshold_ignored(self):
+        entries = [(0.0, -2.0, 0.25), (0.0, 2.0, 0.25), (-1.0, 1.0, DETECT_MASS_TOL)]
+        assert detect_forbidden(Coupling.from_entries(entries)) == []
+        entries[2] = (-1.0, 1.0, 2 * DETECT_MASS_TOL)
+        assert len(detect_forbidden(Coupling.from_entries(entries))) == 1
+
+    def test_triangular_pair_at_scale_clean(self):
+        mu = quantize(triangular_grid(64_000))
+        nu = six_atom_symmetric_nu()
+        pi, _ = solve_sweep(mu, nu, detect_separation(mu, nu))
+        assert detect_forbidden(pi) == []
 
 
 class TestSwapGain:
@@ -113,7 +197,46 @@ class TestSwapGain:
             swap_gain(0.0, -1.0, 1.0, 0.5, 0.0, 1.5)
 
 
+def looped_decreasing(maps, tol=1e-12):
+    """check_decreasing as a loop over consecutive rows."""
+    for vals, fracs in ((maps.lower, maps.lower_frac),
+                        (maps.upper, maps.upper_frac)):
+        for i in range(len(vals) - 1):
+            if vals[i + 1] > vals[i] + tol:
+                return False
+            if abs(vals[i + 1] - vals[i]) <= tol:
+                if fracs[i] >= 1.0 - tol:
+                    return False
+                if fracs[i + 1] < fracs[i] - tol:
+                    return False
+    return True
+
+
 class TestCheckDecreasing:
+    def test_equals_row_loop(self):
+        # steps straddle the tolerance, so repeats within tol are common
+        tol = 1e-12
+        steps = tol * np.array([0.0, 0.5, 1.0, 1.5, -0.5, -1.0, -1.5, 1e11])
+        fracs = np.array([0.2, 0.5, 1.0 - 2 * tol, 1.0 - tol, 1.0 - 0.5 * tol, 1.0])
+        rng = np.random.default_rng(83)
+        verdicts = []
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            cols = [-1.0 - np.cumsum(rng.choice(steps, n)),
+                    2.0 - np.cumsum(rng.choice(steps, n))]
+            cols += [rng.choice(fracs, n) + rng.choice([0.0, -tol, tol], n)
+                     for _ in range(2)]
+            maps = TransportMaps(np.arange(n), *cols)
+            verdicts.append(check_decreasing(maps))
+            assert verdicts[-1] == looped_decreasing(maps)
+        assert 0.1 < np.mean(verdicts) < 0.9
+
+    def test_non_finite_maps_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError):
+                TransportMaps([-0.5, 0.5], [-2.0, bad], [2.5, 2.0],
+                              [0.4, 0.9], [0.5, 1.0])
+
     def test_sweep_outputs(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
@@ -202,6 +325,22 @@ class TestValidateCoupling:
         assert rep.row_residual == pytest.approx(1e-3, abs=1e-12)
         assert rep.column_residual == pytest.approx(1e-3, abs=1e-12)
         assert rep.max_residual() >= 1e-3
+
+    def test_segment_reductions_equal_row_loops(self):
+        rng = np.random.default_rng(89)
+        for _ in range(10):
+            mu, nu = separated_instance(rng)
+            interval = detect_separation(mu, nu)
+            pi, _ = solve_sweep(mu, nu, interval)
+            pi = plant_cross_swap(pi, interval.a, interval.b) or pi
+            rows = pi.rows()
+            bary = max(float(np.abs(ws @ ys - x * ws.sum()).max()) for x, ys, ws in rows)
+            assert validate_coupling(pi, mu, nu).barycenter_residual == \
+                pytest.approx(bary, abs=1e-15)
+            expect = [(int((ys[ws > 1e-9 * ws.sum()] <= interval.a).sum()),
+                       int((ys[ws > 1e-9 * ws.sum()] >= interval.b).sum()))
+                      for _, ys, ws in rows]
+            assert count_targets_per_side(pi, interval.a, interval.b) == expect
 
     def test_empty_coupling_reports_total_mass(self):
         mu = DiscreteMeasure([0.0], [1.0])
