@@ -1,15 +1,18 @@
 """Compare two checkouts of motkit on the benchmark and on a verify ladder.
 
     python3 tools/compare_bench.py --parent PARENT_DIR --change CHANGE_DIR \
-        --pairs 10 --seed 7 --out BENCH.json
+        --seed 7 --out BENCH.json
 
 Each checkout is a directory holding `src/` and `perfbench/`. The script runs
-`perfbench/run.py --workload all --trace 0` in each checkout for `--pairs`
-pairs, alternating which side runs first, and reports every end-to-end
-metric's median and quartiles per side, with the number of pairs the change
-won. The ladder then solves the benchmark's triangular pair at each size in
-`--ladder` once per side and times `detect_forbidden` in-process and the
-`verify` command as a fresh process. Both sides run with one BLAS thread.
+`perfbench/run.py --workload all --trace 0` at the benchmark's run length in
+each checkout for PAIRS pairs, alternating which side runs first, and reports
+every end-to-end metric's median and quartiles per side, with the number of
+pairs the change won. The ladder then solves the benchmark's triangular pair
+at each size in LADDER once per side and times `detect_forbidden` in-process
+and the `verify` command as a fresh process, REPEATS times each. Both sides
+run with one BLAS thread. Pass a seed not used while writing the change.
+
+The script goes away once `perfbench/run.py` writes BENCH_<pr>.json itself.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from time import perf_counter
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 HIGHER_IS_BETTER = {"1/s"}
+PAIRS = 10
+SECONDS = 30  # BENCHMARK.json run_seconds
+LADDER = (1000, 8000, 64000)
+REPEATS = 3
 
 # Runs inside a checkout: solves the triangular pair once, then times
 # detect_forbidden in-process `repeats` times. Prints one JSON object.
@@ -58,9 +65,13 @@ def side_env(root: Path) -> dict:
     return env
 
 
-def bench_run(root: Path, seed: int, seconds: float) -> dict:
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all",
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+def bench_argv(seed: int) -> list:
+    return ["perfbench/run.py", "--workload", "all", "--seed", str(seed),
+            "--seconds", str(SECONDS), "--trace", "0"]
+
+
+def bench_run(root: Path, seed: int) -> dict:
+    done = subprocess.run([sys.executable, *bench_argv(seed)],
                           cwd=root, env=side_env(root), capture_output=True, text=True,
                           check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -83,16 +94,16 @@ def summarize(runs: dict) -> dict:
     return out
 
 
-def ladder_rung(root: Path, n: int, repeats: int) -> dict:
+def ladder_rung(root: Path, n: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        done = subprocess.run([sys.executable, "-c", LADDER_CODE, str(n), tmp, str(repeats)],
+        done = subprocess.run([sys.executable, "-c", LADDER_CODE, str(n), tmp, str(REPEATS)],
                               cwd=root, env=side_env(root), capture_output=True,
                               text=True, check=True)
         rung = json.loads(done.stdout.strip().splitlines()[-1])
         argv = [sys.executable, "-m", "motkit.cli", "verify", "--coupling",
                 str(Path(tmp) / "c.json"), "--marginals", str(Path(tmp) / "pair.json")]
         walls = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = perf_counter()
             subprocess.run(argv, cwd=root, env=side_env(root), stdout=subprocess.DEVNULL,
                            check=True)
@@ -106,28 +117,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--ladder", default="1000,8000,64000")
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     runs = {"parent": [], "change": []}
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            runs[side].append(bench_run(roots[side], args.seed, args.seconds))
+            runs[side].append(bench_run(roots[side], args.seed))
             print(f"pair {k} {side} failed={runs[side][-1]['failed']}", file=sys.stderr)
-    ladder = {f"tri{n}": {side: ladder_rung(root, int(n), args.repeats)
-                          for side, root in roots.items()}
-              for n in args.ladder.split(",")}
+    ladder = {f"tri{n}": {side: ladder_rung(root, n) for side, root in roots.items()}
+              for n in LADDER}
 
     doc = {
         "command": " ".join(["python3", "tools/compare_bench.py"] + (argv or sys.argv[1:])),
-        "bench_command": f"python3 perfbench/run.py --workload all --seed {args.seed} "
-                         f"--seconds {args.seconds:g} --trace 0",
+        "bench_command": " ".join(["python3", *bench_argv(args.seed)]),
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
