@@ -10,7 +10,7 @@ the call-function check that decides the order.
 import numpy as np
 
 from motkit import (DiscreteMeasure, GridDensity, common_mass_split,
-                    convex_order_check, moments, quantize)
+                    convex_order_check, quantize)
 
 # -- a V-shaped density on [-1, 1], quantized to 8 atoms ---------------------
 n = 8
@@ -20,8 +20,8 @@ mu = quantize(density)
 print("quantized V-density:")
 for x, w in mu.atoms():
     print(f"  atom at {x:+.4f} with mass {w:.4f}")
-mass, mean = moments(mu)
-print(f"total mass {mass:.12f}, mean {mean:+.2e}  (both preserved exactly)\n")
+print(f"total mass {mu.total_mass():.12f}, mean {mu.mean():+.2e}  "
+      "(both preserved exactly)\n")
 
 # -- convex order: a centered point mass against symmetric spreads -----------
 point = DiscreteMeasure([0.0], [1.0])

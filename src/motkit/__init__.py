@@ -10,10 +10,11 @@ from .errors import (InputError, MotkitError, NotInConvexOrderError,
                      SeparationError, SolverFailureError)
 from .measures import (DiscreteMeasure, GridDensity, OrderReport,
                        call_function, common_mass_split, convex_order_check,
-                       moments, quantize)
+                       quantize)
 from .mot1d import (Coupling, SeparationInterval, TransportMaps,
-                    cost, coupling_matrix, detect_separation, is_symmetric,
-                    reflection_residual, solve_sweep, symmetric_solve)
+                    cost, coupling_matrix, detect_separation,
+                    reflection_residual, solve_sweep)
+from .pipeline import solve
 from .lp import LpSolution, MotLp, diagonal_mass, solve_lp, uniqueness_probe
 from .radial import (LiftedCoupling, RadialAtoms, RadialProfile, induce_1d,
                      induced_atoms, l_symmetrize_2d, r_equivalent,
@@ -39,10 +40,10 @@ __all__ = [
     "count_targets_per_side", "curve_is_constant",
     "curve_is_strictly_decreasing", "deformation_curve", "detect_forbidden",
     "detect_separation", "diagonal_mass", "induce_1d", "induced_atoms",
-    "is_symmetric", "l_symmetrize_2d", "moments", "quantize",
+    "l_symmetrize_2d", "quantize",
     "r_equivalent", "random_deformation_instance", "reflection_residual",
     "rotate_pushforward", "rotation_group_2d", "sample_lifted",
-    "solve_lp", "solve_radial",
-    "solve_sweep", "swap_gain", "symmetric_solve", "symmetrize_coupling",
+    "solve", "solve_lp", "solve_radial",
+    "solve_sweep", "swap_gain", "symmetrize_coupling",
     "uniqueness_probe", "unit_sphere_area", "validate_coupling",
 ]

@@ -332,18 +332,15 @@ def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
     return LpSolution("optimal", pi, objective, mat, residuals, iters, msg)
 
 
-def _solve_assembled(prob: MotLp) -> LpSolution:
-    return _solution(prob, *simplex_solve(prob.A, prob.b,
-                                          prob.objective_vector(), _feas_tol(prob)))
-
-
 def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
              sense: str = "min") -> LpSolution:
     """Solve the discrete martingale transport LP to optimality.
 
     Infeasibility is equivalent to the marginals not being in convex order.
     """
-    return _solve_assembled(MotLp(mu, nu, p, sense))
+    prob = MotLp(mu, nu, p, sense)
+    return _solution(prob, *simplex_solve(prob.A, prob.b,
+                                          prob.objective_vector(), _feas_tol(prob)))
 
 
 def diagonal_mass(sol: LpSolution) -> float:

@@ -257,6 +257,13 @@ class OrderReport:
             "worst_gap": self.worst_gap,
         }
 
+    def failure(self, tol: float) -> str:
+        """The first condition that fails at `tol`: mass, mean or call gap."""
+        for name, gap in (("mass", self.mass_gap), ("mean", self.mean_gap)):
+            if abs(gap) > tol:
+                return f"{name} gap {gap:.3e} exceeds tol {tol:.1e}"
+        return f"call-function gap {self.worst_gap:.3e} at k={self.worst_k:.6g}"
+
 
 def quantize(g: GridDensity, normalize: bool = False) -> DiscreteMeasure:
     """Collapse each grid cell to one atom at its midpoint.
@@ -345,11 +352,6 @@ def common_mass_split(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
     return part(mu.positions, common_w), part(mu.positions, mu_w), \
         part(nu.positions, nu_w)
-
-
-def moments(m: DiscreteMeasure):
-    """(total mass, mean) as exact atomic sums."""
-    return m.total_mass(), m.mean()
 
 
 # ---------------------------------------------------------------------------

@@ -296,11 +296,10 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise SeparationError("mu has mass outside the open separation interval")
     snap = SNAP_FRACTION * max(1.0, nu.total_mass())
     lower, upper = _frontiers(nu, interval, snap)
-    report = convex_order_check(mu, nu, tol=max(tol, MASS_TOL))
+    order_tol = max(tol, MASS_TOL)
+    report = convex_order_check(mu, nu, tol=order_tol)
     if not report.in_order:
-        raise NotInConvexOrderError(
-            f"marginals not in convex order (worst gap {report.worst_gap:.3e} "
-            f"at k={report.worst_k:.6g})", report=report)
+        raise NotInConvexOrderError(report.failure(order_tol), report=report)
     pos_scale = max(1.0, float(np.abs(nu.positions).max(initial=0.0)))
     entries, map_rows = [], []
 
@@ -352,15 +351,6 @@ def cost(pi: Coupling, p: float) -> float:
     return float(np.dot(pi.masses, dist ** p))
 
 
-def is_symmetric(m: DiscreteMeasure, tol: float = 1e-9) -> bool:
-    """Atomwise symmetry about the origin (dim=1)."""
-    if m.dim != 1:
-        raise InputError("symmetry check supports dim=1")
-    pos, w = m.positions, m.masses
-    return bool(np.all(np.abs(pos + pos[::-1]) <= tol)
-                and np.all(np.abs(w - w[::-1]) <= tol))
-
-
 def reflection_residual(pi: Coupling) -> float:
     """Distance between a 1-D coupling and its reflection through 0."""
     if len(pi) == 0:
@@ -370,21 +360,6 @@ def reflection_residual(pi: Coupling) -> float:
     return float(max(np.abs(pi.xs[a] + pi.xs[b]).max(),
                      np.abs(pi.ys[a] + pi.ys[b]).max(),
                      np.abs(pi.masses[a] - pi.masses[b]).max()))
-
-
-def symmetric_solve(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                    interval: SeparationInterval, tol: float = 1e-9) -> Coupling:
-    """Sweep solve for origin-symmetric marginals; certifies the output
-    coupling is invariant under (x, y) -> (-x, -y)."""
-    if not (is_symmetric(mu, tol) and is_symmetric(nu, tol)):
-        raise InputError("marginals are not symmetric about the origin")
-    pi, _ = solve_sweep(mu, nu, interval, tol=tol)
-    resid = reflection_residual(pi)
-    if resid > max(tol, 1e-10):
-        raise SolverFailureError(
-            f"symmetric instance produced asymmetric coupling (residual {resid:.3e})",
-            residual=resid)
-    return pi
 
 
 def detect_separation(mu: DiscreteMeasure, nu: DiscreteMeasure):

@@ -1,0 +1,67 @@
+"""The one solve pipeline for 1-D martingale transport: split off the common
+mass, check the remainder's convex order once, then route it to the frontier
+sweep when it is separated and to the LP oracle otherwise. `motkit solve` and
+`radial.solve_radial` both run through it. It is apart from `mot1d` because
+`lp` imports `mot1d.Coupling`.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from .errors import InputError, NotInConvexOrderError, SolverFailureError
+from . import lp as lp_mod
+from .measures import DiscreteMeasure, common_mass_split, convex_order_check
+from .mot1d import (Coupling, TransportMaps, check_exponent, detect_separation,
+                    solve_sweep)
+
+
+class Solution(NamedTuple):
+    """Common mass (kept on the diagonal) and the remainder's coupling. route
+    is "sweep", "lp", or None when nothing is left to move; maps is set on
+    the sweep route only."""
+
+    common: DiscreteMeasure
+    pi: Coupling | None
+    maps: TransportMaps | None
+    route: str | None
+
+    def coupling(self) -> Coupling:
+        """The diagonal entries followed by the remainder's."""
+        diag = zip(self.common.positions, self.common.positions, self.common.masses)
+        rest = [] if self.pi is None else self.pi.entries()
+        return Coupling.from_entries(list(diag) + rest)
+
+
+def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
+          method: str = "auto", tol: float = 1e-9) -> Solution:
+    """Optimal martingale coupling of two 1-D measures for cost |x-y|^p.
+
+    Raises NotInConvexOrderError when the remainder fails the order check at
+    `tol` (carrying the OrderReport) or the LP finds it infeasible (no
+    report); forcing "sweep" on a non-separated remainder is an InputError.
+    """
+    check_exponent(p)
+    if method not in ("auto", "sweep", "lp"):
+        raise InputError(f"unknown method {method!r}")
+    common, mu_bar, nu_bar = common_mass_split(mu, nu)
+    report = convex_order_check(mu_bar, nu_bar, tol=tol)
+    if not report.in_order:
+        raise NotInConvexOrderError(report.failure(tol), report=report)
+    if len(mu_bar) == 0:
+        return Solution(common, None, None, None)
+
+    interval = detect_separation(mu_bar, nu_bar)
+    if method == "auto":
+        method = "lp" if interval is None else "sweep"
+    if method == "sweep":
+        if interval is None:
+            raise InputError("marginals are not separated; use --method lp")
+        pi, maps = solve_sweep(mu_bar, nu_bar, interval, tol=tol)
+        return Solution(common, pi, maps, "sweep")
+    sol = lp_mod.solve_lp(mu_bar, nu_bar, p)
+    if sol.status == "infeasible":
+        raise NotInConvexOrderError("the LP finds no martingale coupling")
+    if sol.status != "optimal":
+        raise SolverFailureError(f"LP failed: {sol.status} {sol.message}")
+    return Solution(common, sol.coupling, None, "lp")

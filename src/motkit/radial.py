@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
-from .measures import (DiscreteMeasure, GridDensity, common_mass_split,
-                       convex_order_check, group_atoms, parse_int, quantize)
-from .mot1d import (Coupling, TransportMaps, check_exponent, cost,
-                    detect_separation, reflection_residual, solve_sweep)
-from . import lp as lp_mod
+from .measures import DiscreteMeasure, GridDensity, group_atoms, parse_int, quantize
+from .mot1d import Coupling, TransportMaps, cost, reflection_residual
+# only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
+from .pipeline import (common_mass_split, convex_order_check,  # noqa: F401
+                       detect_separation, solve, solve_sweep)
 
 
 def unit_sphere_area(d: int) -> float:
@@ -193,58 +193,36 @@ class LiftedCoupling:
         return float(np.dot(self.base.masses, dist ** p))
 
 
-def solve_radial(mu, nu, p: float, n: int = 400):
+def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
     """Reduce, solve on the line, and lift. Returns (LiftedCoupling, cost).
 
-    Both marginals must share the ambient dimension; density marginals are
-    quantized at n cells. Common mass between the induced marginals stays on
-    the diagonal; the disjoint remainder is solved by the frontier sweep when
-    separated, otherwise by the LP oracle (then symmetrized). Raises
-    NotInConvexOrderError with refinement advice when quantization broke the
-    convex order.
+    Density marginals are quantized at n cells, and the induced pair goes
+    through `pipeline.solve` at `tol`. A sweep coupling must be reflection-
+    symmetric; an LP coupling is symmetrized. An order failure is re-raised
+    with refinement advice, since quantization can break the convex order.
     """
-    check_exponent(p)
     if n < 2:
         raise InputError("need n >= 2 quantization cells")
     dim = getattr(mu, "dim", None)
     if dim is None or getattr(nu, "dim", None) != dim:
         raise InputError("marginals must share the ambient dimension")
 
-    mu1 = _to_induced(mu, n)
-    nu1 = _to_induced(nu, n)
-    report = convex_order_check(mu1, nu1, tol=1e-8)
-    if not report.in_order:
+    try:
+        sol = solve(_to_induced(mu, n), _to_induced(nu, n), p, tol=tol)
+    except NotInConvexOrderError as exc:
         raise NotInConvexOrderError(
-            "induced marginals fail the convex-order check (worst gap "
-            f"{report.worst_gap:.3e}); refine the quantization (n={n}) or "
-            "check the input profiles", report=report)
+            f"induced marginals: {exc}; refine the quantization (n={n}) or "
+            "check the input profiles", report=exc.report) from exc
+    if sol.route == "sweep":
+        resid = reflection_residual(sol.pi)
+        if resid > 1e-9:
+            raise SolverFailureError(
+                f"symmetric radial instance gave asymmetric coupling ({resid:.3e})",
+                residual=resid)
+    elif sol.route == "lp":
+        sol = sol._replace(pi=symmetrize_coupling(sol.pi))
 
-    common, mu_bar, nu_bar = common_mass_split(mu1, nu1)
-    diag = [(float(x), float(x), float(w))
-            for x, w in zip(common.positions, common.masses)]
-
-    maps = None
-    if len(mu_bar) == 0:
-        base = Coupling.from_entries(diag)
-    else:
-        interval = detect_separation(mu_bar, nu_bar)
-        if interval is not None:
-            pi, maps = solve_sweep(mu_bar, nu_bar, interval)
-            resid = reflection_residual(pi)
-            if resid > 1e-9:
-                raise SolverFailureError(
-                    f"symmetric radial instance gave asymmetric coupling ({resid:.3e})",
-                    residual=resid)
-        else:
-            sol = lp_mod.solve_lp(mu_bar, nu_bar, p)
-            if sol.status != "optimal":
-                raise SolverFailureError(
-                    f"LP path failed on induced marginals: {sol.status} {sol.message}")
-            pi = symmetrize_coupling(sol.coupling)
-        entries = diag + list(zip(pi.xs, pi.ys, pi.masses))
-        base = Coupling.from_entries(entries)
-
-    lifted = LiftedCoupling(base, dim, maps)
+    lifted = LiftedCoupling(sol.coupling(), dim, sol.maps)
     return lifted, lifted.cost_1d(p)
 
 

@@ -156,6 +156,17 @@ class TestSolveRadial:
         assert summary["samples"] == 20000
         assert summary["martingale_mean_max_se"] < 4.0
 
+    def test_tol_reaches_the_solver(self, tmp_path, capsys):
+        # the shells' masses differ by 5e-9: out of order at 1e-9, in at 1e-8
+        doc = {"dim": 2,
+               "mu": {"type": "radial-atoms", "atoms": [[1.0, 1.0]]},
+               "nu": {"type": "radial-atoms", "atoms": [[2.0, 1.0 + 5e-9]]}}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve-radial", str(path)]) == 1
+        assert "mass gap" in capsys.readouterr().err
+        assert main(["solve-radial", str(path), "--tol", "1e-8"]) == 0
+
     def test_induced_csv(self, radial_file, tmp_path):
         csv = tmp_path / "induced.csv"
         main(["solve-radial", radial_file, "--n", "100",
@@ -233,6 +244,12 @@ class TestOracle:
 
     def test_infeasible_exit_one(self, reversed_file):
         assert main(["oracle", reversed_file]) == 1
+
+    def test_tol_not_accepted(self, pair_file):
+        # the LP has no tolerance to set; argparse rejects the option
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", pair_file, "--tol", "-5"])
+        assert info.value.code == 2
 
     def test_max_sense(self, pair_file, capsys):
         assert main(["oracle", pair_file, "--sense", "max"]) == 0

@@ -6,8 +6,8 @@ import pytest
 from motkit import (Coupling, DiscreteMeasure, InputError,
                     NotInConvexOrderError, SeparationError,
                     SeparationInterval, cost, coupling_matrix,
-                    detect_separation, is_symmetric, reflection_residual,
-                    solve_lp, solve_sweep, symmetric_solve, validate_coupling)
+                    detect_separation, reflection_residual,
+                    solve_lp, solve_sweep, validate_coupling)
 from motkit.mot1d import (SNAP_FRACTION, read_coupling_json,
                           write_coupling_json, write_maps_csv)
 from instances import separated_instance, six_atom_symmetric_nu, triangular_grid
@@ -209,21 +209,18 @@ class TestTwoPointSupport:
 
 
 class TestSymmetricSolve:
+    """The sweep of origin-symmetric marginals gives a coupling invariant
+    under (x, y) -> (-x, -y)."""
+
     def test_symmetric_two_atoms(self):
         mu = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
-        pi = symmetric_solve(mu, NU_SYM, I_UNIT)
+        pi, _ = solve_sweep(mu, NU_SYM, I_UNIT)
         assert reflection_residual(pi) <= 1e-10
 
     def test_quantized_triangular_symmetric(self):
         mu = quantize(triangular_grid(80))
-        pi = symmetric_solve(mu, NU_SYM, I_UNIT)
+        pi, _ = solve_sweep(mu, NU_SYM, I_UNIT)
         assert reflection_residual(pi) <= 1e-10
-
-    def test_shifted_rejected(self):
-        mu = DiscreteMeasure([-0.4, 0.6], [0.5, 0.5])
-        assert not is_symmetric(mu)
-        with pytest.raises(InputError):
-            symmetric_solve(mu, NU_SYM, I_UNIT)
 
 
 class TestPreconditions:
