@@ -63,7 +63,7 @@ def cmd_solve(args) -> int:
         write_coupling_json(args.out, full, total_cost, sol.maps)
     if args.maps_csv and sol.maps is not None:
         write_maps_csv(args.maps_csv, sol.maps)
-    print(f"method={sol.route or args.method} cost={total_cost!r}")
+    print(f"method={sol.route or 'none'} cost={total_cost!r}")
     return EXIT_OK
 
 

@@ -119,19 +119,17 @@ def _merge_groups(positions: np.ndarray, masses: np.ndarray):
     """One atom per group of `group_atoms`, at the mass-weighted mean of its
     members, in lexicographic order. Lone atoms, and groups whose members
     share one exact position, keep that position."""
-    labels = group_atoms(positions)
-    order = np.lexsort((*_as_rows(positions).T[::-1], labels))
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels[order])) + 1))
-    ends = np.append(starts[1:], len(order))
-    out_pos = positions[order[starts]]
-    out_mass = masses[order[starts]]
-    for g in np.flatnonzero(ends - starts > 1):
-        idx = order[starts[g]:ends[g]]
-        out_mass[g] = masses[idx].sum()
-        if np.any(positions[idx] != positions[idx[0]]):
-            out_pos[g] = np.dot(masses[idx], positions[idx]) / out_mass[g]
-    final = np.lexsort(_as_rows(out_pos).T[::-1])
-    return out_pos[final], out_mass[final]
+    rows = _as_rows(positions)
+    labels = group_atoms(rows)
+    order = np.lexsort((*rows.T[::-1], labels))
+    lab, pos, w = labels[order], rows[order], masses[order]
+    starts = np.flatnonzero(np.diff(lab, prepend=-1))
+    out_mass = np.add.reduceat(w, starts)
+    differ = np.logical_or.reduceat((pos != pos[starts][lab]).any(axis=1), starts)
+    mean = np.add.reduceat(w[:, None] * pos, starts) / out_mass[:, None]
+    out_pos = np.where(differ[:, None], mean, pos[starts])
+    final = np.lexsort(out_pos.T[::-1])
+    return out_pos[final].reshape(-1, *positions.shape[1:]), out_mass[final]
 
 
 @dataclass(frozen=True)

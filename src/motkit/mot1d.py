@@ -12,14 +12,21 @@ each atom splits its mass between two moving frontiers,
     largest atom and moving down toward b,
 
 with the split chosen so the consumed first moment matches the atom's
-barycenter. The consumed moment is piecewise linear and strictly decreasing in
-the mass routed to the lower side, with kinks where either frontier crosses a
-nu atom, so each row's split is solved exactly by walking those kinks. The
-construction never reads p, which is the point: the optimizer is the same for
-every exponent in (0, 1].
+barycenter. The construction never reads p, which is the point: the
+optimizer is the same for every exponent in (0, 1].
 
-Per-row consumption is contiguous, so each source atom reaches one or two nu
-atoms per side and the recorded frontier maps are nonincreasing.
+Consumption along each frontier is contiguous, so the rows do not have to be
+walked in turn. With M_i and X_i the prefix mass and first moment of mu, the
+lower frontier's total consumption L_i after rows 1..i is the root of
+
+    MomL(L) + MomU(M_i - L) = X_i,
+
+with MomL, MomU the consumed moments of each frontier, piecewise linear in
+its prefix sums with a kink at every atom. The left side strictly decreases
+in L, so all L_i are solved at once, exactly, by bisecting on the kinks and
+solving one linear piece. Row i takes what lies between L_{i-1} and L_i
+(and between the matching upper consumptions), so each source atom reaches
+one or two nu atoms per side and the frontier maps are nonincreasing.
 """
 
 from __future__ import annotations
@@ -30,11 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SeparationError, SolverFailureError
-from .measures import (MASS_TOL, POSITION_TOL, DiscreteMeasure,
+from .measures import (MASS_TOL, POSITION_TOL, DiscreteMeasure, _ranges,
                        convex_order_check, group_atoms, nearest_atom)
 
 # Remaining atom slivers below this fraction of the total mass are absorbed
-# while walking a frontier, so exact-exhaustion roots do not leave dust atoms.
+# by the frontier consumptions, so exact-exhaustion roots do not leave dust
+# atoms, and a row's take below it is not made.
 SNAP_FRACTION = 1e-13
 
 
@@ -165,118 +173,94 @@ class TransportMaps:
                 zip(self.xs, self.lower, self.upper, self.lower_frac, self.upper_frac)]
 
 
-class _Frontier:
-    """One consumption frontier over nu atoms listed in consumption order.
-
-    The state is the current atom `idx` and the unconsumed mass `left` of
-    each atom; taking an atom whole moves `idx` on. Prefix sums of mass and
-    first moment over whole atoms give the remaining mass in O(1) and the
-    moment of any consumption in O(log n).
-    """
-
-    __slots__ = ("pos", "w", "left", "cum", "cum_mom", "idx", "snap", "boundary")
-
-    def __init__(self, pos, w, snap, boundary):
-        self.pos, self.w, self.left = pos.tolist(), w.tolist(), w.tolist()
-        self.cum = np.concatenate(([0.0], np.cumsum(w)))
-        self.cum_mom = np.concatenate(([0.0], np.cumsum(w * pos))).tolist()
-        self.idx, self.snap, self.boundary = 0, snap, float(boundary)
-
-    def remaining(self) -> float:
-        j = self.idx
-        if j == len(self.w):
-            return 0.0
-        return self.left[j] + float(self.cum[-1] - self.cum[j + 1])
-
-    def locate(self, t: float):
-        """Where taking `t` (at most remaining()) from the front ends:
-        (atom i, mass taken from atom i, first moment taken)."""
-        j, pos = self.idx, self.pos
-        r = self.left[j]
-        if t <= r or j == len(pos) - 1:
-            return j, t, t * pos[j]
-        # atoms j+1..i-1 are taken whole, atom i in part
-        base = self.cum[j + 1]
-        i = int(np.searchsorted(self.cum, base + (t - r))) - 1
-        i = min(max(i, j + 1), len(pos) - 1)
-        u = (t - r) - float(self.cum[i] - base)
-        whole = self.cum_mom[i] - self.cum_mom[j + 1]
-        return i, u, r * pos[j] + whole + u * pos[i]
-
-    def take(self, need: float):
-        """Take `need` from the front; returns (moment, [(position, mass)]).
-        An atom left with at most `snap` is taken whole (its own remaining
-        mass) and a need of at most `snap` is dropped, so no dust is left."""
-        moment, takes = 0.0, []
-        while need > self.snap and self.idx < len(self.w):
-            y, r = self.pos[self.idx], self.left[self.idx]
-            take = r if r - need <= self.snap else need
-            takes.append((y, take))
-            moment += take * y
-            need -= take
-            self.left[self.idx] = r - take
-            if take == r:
-                self.idx += 1
-        return moment, takes
-
-    def map_state(self):
-        """(deepest consumed atom, consumed fraction) after the last take."""
-        j, w = self.idx, self.w
-        if j < len(w) and self.left[j] < w[j]:
-            return self.pos[j], 1.0 - self.left[j] / w[j]
-        if j == 0:
-            return self.boundary, 0.0
-        return self.pos[j - 1], 1.0
-
-
-def _row_split(lower: _Frontier, upper: _Frontier, x: float, m: float,
-               lo_b: float, hi_b: float) -> float:
-    """Mass rho in [lo_b, hi_b] routed to the lower frontier so that the
-    row's consumed first moment matches m * x.
-
-    The gap g(rho) = moment(lower, rho) + moment(upper, m - rho) - m x is
-    piecewise linear: with the lower side in atom j and the upper side in
-    atom k its slope is pos_lo[j] - pos_hi[k] < 0. The walk starts at lo_b;
-    each step crosses a kink (j up or k down) or ends the row. Returns lo_b
-    when g(lo_b) <= 0 and hi_b when g stays positive.
-    """
-    if lo_b >= hi_b:
-        return lo_b
-    rho = lo_b
-    j, u, mom_lo = lower.locate(rho)
-    k, b, mom_hi = upper.locate(m - rho)   # b: mass of upper atom k taken
-    a = lower.left[j] - u                  # mass of lower atom j left
-    g = mom_lo + mom_hi - m * x
-    while g > 0.0:
-        d = min(a, b)
-        slope = lower.pos[j] - upper.pos[k]
-        if g + slope * d <= 0.0:
-            return rho + g / -slope
-        rho, g = rho + d, g + slope * d
-        if a <= b:
-            j += 1
-            if j == len(lower.w):
-                return hi_b
-            a, b = lower.w[j], b - d
-        else:
-            k -= 1
-            if k < upper.idx:
-                return hi_b
-            a, b = a - d, upper.left[k]
-    return rho
-
-
-def _frontiers(nu: DiscreteMeasure, interval: SeparationInterval, snap: float):
+def _frontiers(nu: DiscreteMeasure, interval: SeparationInterval, c: float):
     """Frontiers over the nu atoms at or below a and at or above b, each
-    listed from its largest atom down."""
+    listed from its largest atom down: positions, masses, and prefix sums
+    of mass and of the first moment about c."""
     pos, w = nu.positions, nu.masses
     inside = (pos > interval.a) & (pos < interval.b)
     if inside.any():
         raise SeparationError(
             f"nu has mass inside the separation interval at {pos[inside][:3]}")
-    low = pos <= interval.a
-    return (_Frontier(pos[low][::-1], w[low][::-1], snap, interval.a),
-            _Frontier(pos[~low][::-1], w[~low][::-1], snap, interval.b))
+    sides = []
+    for keep in (pos <= interval.a, pos >= interval.b):
+        p, q = pos[keep][::-1], w[keep][::-1]
+        sides.append((p, q, np.concatenate(([0.0], np.cumsum(q))),
+                      np.concatenate(([0.0], np.cumsum(q * (p - c))))))
+    return sides
+
+
+def _bisect(lo, hi, holds):
+    """Per row, the largest i in [lo, hi) with holds(i), where holds is
+    monotone, true at lo and false at hi: ceil(log2(max(hi - lo))) passes."""
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = holds(mid) & (hi - lo > 1)
+        lo, hi = np.where(ok, mid, lo), np.where(ok | (hi - lo <= 1), hi, mid)
+    return lo
+
+
+def _lower_masses(M, X, lb, ub, lower, upper, c):
+    """L in [lb, ub] solving MomL(L) + MomU(M - L) = X per row (moments about
+    c). The gap F is piecewise linear with slope pos_lower - pos_upper < 0:
+    a bisection on the lower kinks, then one on the upper kinks, finds the
+    piece holding the root, where F is linear. Roots are clipped to [lb, ub].
+    """
+    L = lb.copy()
+    r = np.flatnonzero(lb < ub)      # both frontiers hold mass on these rows
+    M, X, lb, ub = M[r], X[r], lb[r], ub[r]
+    (pl, _, cl, mom_l), (pu, _, cu, mom_u) = lower, upper
+
+    def gap(t, j, k=None):
+        if k is None:
+            k = np.minimum(np.searchsorted(cu, M - t, side="right") - 1, len(pu) - 1)
+        return (mom_l[j] + (t - cl[j]) * (pl[j] - c)
+                + mom_u[k] + (M - t - cu[k]) * (pu[k] - c) - X)
+
+    j = _bisect(np.searchsorted(cl, lb, side="right") - 1,
+                np.searchsorted(cl, ub, side="left"), lambda i: gap(cl[i], i) > 0)
+    A, B = np.maximum(cl[j], lb), np.minimum(cl[j + 1], ub)
+    k = _bisect(np.minimum(np.searchsorted(cu, M - B, side="right") - 1, len(pu) - 1),
+                np.minimum(np.searchsorted(cu, M - A, side="left"), len(pu)),
+                lambda i: gap(M - cu[i], j, i) <= 0)
+    A, B = np.maximum(A, M - cu[k + 1]), np.minimum(B, M - cu[k])
+    L[r] = np.clip(A + gap(A, j, k) / (pu[k] - pl[j]), A, B)
+    return L
+
+
+def _commit(t, cum, snap):
+    """Cumulative consumptions as taken. Each ends on the first kink within
+    snap of it, as the row walk's consumption did, so no atom keeps a
+    sliver; a step of at most snap between points off the kinks is not
+    taken, and its mass goes with the next step that is."""
+    kink = cum[np.minimum(np.searchsorted(cum, t - snap), len(cum) - 1)]
+    t = np.maximum.accumulate(np.where(np.abs(kink - t) <= snap, kink, t))
+    return np.maximum.accumulate(np.where(np.diff(t, prepend=0.0) > snap, t, 0.0))
+
+
+def _takes(t, side):
+    """Entries of one frontier when row i consumes (t[i-1], t[i]]: row, atom
+    position and mass, in row then consumption order. An atom taken whole
+    carries its own mass."""
+    pos, w, cum, _ = side
+    start = np.concatenate(([0.0], t[:-1]))
+    first = np.searchsorted(cum, start, side="right") - 1
+    row, atom = _ranges(first, np.where(t > start, np.searchsorted(cum, t), first))
+    lo, hi = start[row], t[row]
+    whole = (lo <= cum[atom]) & (cum[atom + 1] <= hi)
+    mass = np.where(whole, w[atom],
+                    np.minimum(hi, cum[atom + 1]) - np.maximum(lo, cum[atom]))
+    return row, pos[atom], mass
+
+
+def _map_state(t, side, boundary):
+    """(deepest consumed atom, its consumed fraction) at each consumption t:
+    the boundary and 0 before the first atom, fraction 1 on a kink."""
+    pos, w, cum, _ = side
+    j = np.searchsorted(cum, t, side="right") - 1
+    part = t > cum[j]
+    frac = np.where(part, (t - cum[j]) / np.append(w, 1.0)[j], (j > 0) * 1.0)
+    return np.concatenate(([boundary], pos))[j + part], frac
 
 
 def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -295,47 +279,57 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if np.any(mu.positions <= interval.a) or np.any(mu.positions >= interval.b):
         raise SeparationError("mu has mass outside the open separation interval")
     snap = SNAP_FRACTION * max(1.0, nu.total_mass())
-    lower, upper = _frontiers(nu, interval, snap)
+    # moments about the interval's centre, so that a large common offset of
+    # the positions does not cancel in the gap
+    c = 0.5 * (interval.a + interval.b)
+    lower, upper = _frontiers(nu, interval, c)
     order_tol = max(tol, MASS_TOL)
     report = convex_order_check(mu, nu, tol=order_tol)
     if not report.in_order:
         raise NotInConvexOrderError(report.failure(order_tol), report=report)
     pos_scale = max(1.0, float(np.abs(nu.positions).max(initial=0.0)))
-    entries, map_rows = [], []
+    x, m = mu.positions, mu.masses
+    tot_lo, tot_hi = lower[2][-1], upper[2][-1]
 
-    for x, m in zip(mu.positions.tolist(), mu.masses.tolist()):
-        r_lo, r_hi = lower.remaining(), upper.remaining()
-        lo_b = max(0.0, m - r_hi)
-        hi_b = min(m, r_lo)
-        if lo_b > hi_b:
-            if lo_b - hi_b > tol * max(1.0, m):
-                raise SolverFailureError(
-                    f"remaining nu mass cannot cover mu atom at x={x:.6g}",
-                    residual=lo_b - hi_b)
-            lo_b = hi_b
+    # after rows 1..i: M, X the prefix mass and moment of mu, [lb, ub] the
+    # lower consumptions that leave both frontiers able to cover M
+    M = np.cumsum(m)
+    lb, ub = np.maximum(0.0, M - tot_hi), np.minimum(M, tot_lo)
+    short = lb - ub > tol * np.maximum(1.0, m)
+    if short.any():
+        i = int(np.argmax(short))
+        raise SolverFailureError(
+            f"remaining nu mass cannot cover mu atom at x={x[i]:.6g}",
+            residual=float(lb[i] - ub[i]))
+    L = _lower_masses(M, np.cumsum(m * (x - c)), np.minimum(lb, ub), ub,
+                      lower, upper, c)
+    L_taken = _commit(L, lower[2], snap)
+    U_taken = _commit(np.clip(M - L, 0.0, tot_hi), upper[2], snap)
+    row, ys, ws = (np.concatenate(parts) for parts in
+                   zip(_takes(L_taken, lower), _takes(U_taken, upper)))
 
-        rho = _row_split(lower, upper, x, m, lo_b, hi_b)
-        mom_lo, takes_lo = lower.take(rho)
-        mom_hi, takes_hi = upper.take(m - rho)
-        resid = mom_lo + mom_hi - m * x
-        allowed = tol * max(1.0, m * pos_scale)
-        if abs(resid) > allowed:
-            raise SolverFailureError(
-                f"row barycenter residual {resid:.3e} exceeds {allowed:.3e} "
-                f"at x={x:.6g}", residual=resid)
+    # the row barycenter residual sum w (y - x), as `validate_coupling` has it
+    resid = np.bincount(row, ws * (ys - x[row]), len(m))
+    allowed = tol * np.maximum(1.0, m * pos_scale)
+    bad = np.abs(resid) > allowed
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolverFailureError(
+            f"row barycenter residual {resid[i]:.3e} exceeds {allowed[i]:.3e} "
+            f"at x={x[i]:.6g}", residual=float(resid[i]))
 
-        entries += [(x, y, w) for y, w in takes_lo + takes_hi]
-        (s_val, s_frac), (t_val, t_frac) = lower.map_state(), upper.map_state()
-        map_rows.append((x, s_val, t_val, s_frac, t_frac))
-
-    leftover = lower.remaining() + upper.remaining()
+    leftover = (tot_lo - L_taken[-1]) + (tot_hi - U_taken[-1])
     imbalance = abs(nu.total_mass() - mu.total_mass())
     if leftover > tol * (len(mu) + len(nu)) + imbalance:
         raise SolverFailureError(
             f"nu mass left unconsumed after sweep: {leftover:.3e}",
             residual=leftover)
 
-    return Coupling.from_entries(entries), TransportMaps(*np.asarray(map_rows).T)
+    order = np.argsort(row, kind="stable")   # a row's lower takes first
+    pi = Coupling(x[row[order]], ys[order], ws[order])
+    s_val, s_frac = _map_state(L_taken, lower, interval.a)
+    t_val, t_frac = _map_state(U_taken, upper, interval.b)
+    return pi, TransportMaps(x, s_val, t_val, s_frac, t_frac)
 
 
 def cost(pi: Coupling, p: float) -> float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
 from . import lp as lp_mod
 from .measures import DiscreteMeasure, common_mass_split, convex_order_check
@@ -28,9 +30,10 @@ class Solution(NamedTuple):
 
     def coupling(self) -> Coupling:
         """The diagonal entries followed by the remainder's."""
-        diag = zip(self.common.positions, self.common.positions, self.common.masses)
-        rest = [] if self.pi is None else self.pi.entries()
-        return Coupling.from_entries(list(diag) + rest)
+        parts = [(self.common.positions, self.common.positions, self.common.masses)]
+        if self.pi is not None:
+            parts.append((self.pi.xs, self.pi.ys, self.pi.masses))
+        return Coupling(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,

@@ -71,13 +71,16 @@ class RadialProfile:
         return float(s * np.dot(self.values, shell))
 
     def radial_cdf(self, s) -> np.ndarray:
-        """Mass of the ball of radius s (vectorized, exact per cell)."""
+        """Mass of the ball of radius s (vectorized, exact per cell): prefix
+        sums of whole shells plus the part of the cell holding s."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        lo = self.radii[:-1]
-        hi = self.radii[1:]
-        reach = np.clip(s[:, None], lo[None, :], hi[None, :])
-        shells = (reach ** self.dim - lo[None, :] ** self.dim) / self.dim
-        return unit_sphere_area(self.dim) * shells @ self.values
+        r, d = self.radii, self.dim
+        shells = self.values * (r[1:] ** d - r[:-1] ** d) / d
+        below = np.concatenate(([0.0], np.cumsum(shells)))
+        k = np.clip(np.searchsorted(r, s, side="right") - 1, 0, len(shells) - 1)
+        reach = np.clip(s, r[k], r[k + 1])
+        part = self.values[k] * (reach ** d - r[k] ** d) / d
+        return unit_sphere_area(d) * (below[k] + part)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,17 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "method=sweep" in out
 
+    @pytest.mark.parametrize("method", ["auto", "lp"])
+    def test_nothing_to_move_prints_method_none(self, tmp_path, capsys, method):
+        # mu = nu: all mass is common, so no solver runs whatever --method says
+        atoms = {"type": "discrete", "atoms": [[0.0, 1.0]]}
+        path = tmp_path / "same.json"
+        path.write_text(json.dumps({"mu": atoms, "nu": atoms}))
+        out = tmp_path / "c.json"
+        assert main(["solve", str(path), "--method", method, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == "method=none cost=0.0"
+        assert json.loads(out.read_text())["entries"] == [[0.0, 0.0, 1.0]]
+
     def test_maps_csv_written(self, pair_file, tmp_path):
         csv = tmp_path / "m.csv"
         main(["solve", pair_file, "--maps-csv", str(csv)])

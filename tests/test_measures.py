@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motkit import (DiscreteMeasure, GridDensity, InputError, call_function,
                     common_mass_split, convex_order_check, quantize)
-from motkit.measures import group_atoms, nearest_atom
+from motkit.measures import (POSITION_TOL, _as_rows, _merge_groups, group_atoms,
+                             nearest_atom)
 from instances import separated_instance
 
 
@@ -266,3 +269,61 @@ class TestAtomIndex:
         pts = [[1e-12, 0.0], [1.9e-12, 0.0], [1.0, 1.0 + 5e-10]]
         assert nearest_atom(atoms, pts).tolist() == [0, 1, -1]
         assert nearest_atom([], [0.0]).tolist() == [-1]
+
+
+def loop_merge(positions, masses):
+    """The per-group loop `_merge_groups` used before it was vectorized."""
+    labels = group_atoms(positions)
+    order = np.lexsort((*_as_rows(positions).T[::-1], labels))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels[order])) + 1))
+    ends = np.append(starts[1:], len(order))
+    out_pos = positions[order[starts]]
+    out_mass = masses[order[starts]]
+    for g in np.flatnonzero(ends - starts > 1):
+        idx = order[starts[g]:ends[g]]
+        out_mass[g] = masses[idx].sum()
+        if np.any(positions[idx] != positions[idx[0]]):
+            out_pos[g] = np.dot(masses[idx], positions[idx]) / out_mass[g]
+    final = np.lexsort(_as_rows(out_pos).T[::-1])
+    return out_pos[final], out_mass[final]
+
+
+@st.composite
+def atom_clouds(draw):
+    """Points on a grid of step 0.5, nudged by multiples of 0.7 POSITION_TOL
+    per coordinate (so groups form chains), with exact repeats."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    cell = st.tuples(*[st.integers(-3, 3)] * d)
+    nudge = st.tuples(*[st.integers(0, 3)] * d)
+    pts = [0.5 * np.array(draw(cell)) + 0.7 * POSITION_TOL * np.array(draw(nudge))
+           for _ in range(n)]
+    pts += [pts[draw(st.integers(0, n - 1))] for _ in range(draw(st.integers(0, 5)))]
+    pts = np.array(pts)
+    w = np.array([draw(st.floats(1e-3, 1.0)) for _ in range(len(pts))])
+    return (pts[:, 0] if d == 1 else pts), w
+
+
+class TestMergeGroups:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(atom_clouds())
+    def test_matches_loop(self, cloud):
+        pts, w = cloud
+        pos, mass = _merge_groups(pts, w)
+        ref_pos, ref_mass = loop_merge(pts, w)
+        assert pos.shape == ref_pos.shape
+        # merged means may differ in the last bits, which can swap the order
+        # of two atoms within POSITION_TOL: match atoms by the atom index
+        k = nearest_atom(pos, ref_pos)
+        assert sorted(k.tolist()) == list(range(len(pos)))
+        # sums in another order: within (members - 1) roundings of the result
+        eps = (len(w) - 1) * np.finfo(float).eps
+        assert np.abs(pos[k] - ref_pos).max() <= eps * max(1.0, np.abs(pts).max())
+        assert (np.abs(mass[k] - ref_mass) <= eps * ref_mass).all()
+        # a group whose members coincide keeps their exact position
+        labels = group_atoms(pts)
+        rows = _as_rows(pts)
+        for g in range(labels.max() + 1):
+            members = rows[labels == g]
+            if (members == members[0]).all():
+                assert (_as_rows(pos) == members[0]).all(axis=1).any()

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motkit import (Coupling, DiscreteMeasure, InputError,
                     NotInConvexOrderError, SeparationError,
@@ -12,6 +15,7 @@ from motkit.mot1d import (SNAP_FRACTION, read_coupling_json,
                           write_coupling_json, write_maps_csv)
 from instances import separated_instance, six_atom_symmetric_nu, triangular_grid
 from motkit import quantize
+from row_walk import row_walk_sweep
 
 I_UNIT = SeparationInterval(-1.0, 1.0)
 NU_SYM = DiscreteMeasure([-2.0, 2.0], [0.5, 0.5])
@@ -191,6 +195,20 @@ class TestExactSweep:
             mass_of = dict(zip(nu.positions, nu.masses))
             assert all(w == mass_of[y] for y, w in zip(pi.ys, pi.masses))
 
+    def test_dust_row_far_from_origin(self):
+        # the row of 2.5e-14 drops its takes; the row walk's gate measured
+        # sum w y - m x, which is -m x = -2.5e-8 at x = 1e6 and raised
+        xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0]) / 64 + 1e6
+        ms = np.array([0.25, 0.25, 0.25, 0.25, 2.5e-14])
+        lower = float(np.dot(ms, (1e6 + 1.0 - xs) / 2.0))
+        mu = DiscreteMeasure(xs, ms)
+        nu = DiscreteMeasure([1e6 - 1.0, 1e6 + 1.0], [lower, ms.sum() - lower])
+        pi, _ = solve_sweep(mu, nu, detect_separation(mu, nu))
+        rep = validate_coupling(pi, mu, nu)
+        assert rep.barycenter_residual <= 1e-15
+        assert rep.row_residual <= SNAP_FRACTION
+        assert pi.xs.max() < xs[-1]
+
 
 class TestTwoPointSupport:
     def test_quantized_rows_thin_out(self):
@@ -279,3 +297,120 @@ class TestSerialization:
         path.write_text(json.dumps({"rows": []}))
         with pytest.raises(InputError):
             read_coupling_json(path)
+
+
+GRID = 64   # positions are multiples of 1/GRID, so shifts by 1e3 and 1e6 are exact
+
+
+@st.composite
+def separated_pairs(draw):
+    """Separated pair on a dyadic grid, built by martingale spreads so it is
+    in convex order; mu has total mass about 1. In half the cases mu atom i
+    (left to right) spreads over lower and upper atom i in consumption order
+    alone, so every root lands on a kink of both frontiers; otherwise each
+    mu atom spreads over one or two random pairs of pool atoms. Some mu
+    atoms, and some spreads, carry masses near the snap."""
+    k = draw(st.integers(1, 10))
+    xs = np.array(sorted(draw(st.sets(st.integers(-GRID + 1, GRID - 1),
+                                      min_size=k, max_size=k)))) / GRID
+    dust = st.sampled_from(SNAP_FRACTION * np.array([0.25, 0.5, 1.0, 1.5, 2.0, 4.0]))
+    ms = np.array([draw(st.one_of(st.floats(0.02, 1.0), dust)) for _ in range(k)])
+    ms[ms > 0.01] /= ms[ms > 0.01].sum()
+    pool = st.integers(GRID, 4 * GRID)
+    if draw(st.booleans()):   # roots on kinks
+        lows = -np.array(sorted(draw(st.sets(pool, min_size=k, max_size=k)))) / GRID
+        highs = np.array(sorted(draw(st.sets(pool, min_size=k, max_size=k))))[::-1] / GRID
+        spreads = [(i, lows[i], highs[i], ms[i]) for i in range(k)]
+    else:
+        spreads = []
+        for i in range(k):
+            parts = draw(st.sampled_from([[1.0], [0.375, 0.625], "dust"]))
+            if parts == "dust":
+                cut = min(draw(dust), ms[i] / 2)
+                parts = [1.0 - cut / ms[i], cut / ms[i]]
+            spreads += [(i, -draw(pool) / GRID, draw(pool) / GRID, share * ms[i])
+                        for share in parts]
+    acc = {}
+    for i, lo, hi, m in spreads:
+        t = (hi - xs[i]) / (hi - lo)
+        acc[lo] = acc.get(lo, 0.0) + m * t
+        acc[hi] = acc.get(hi, 0.0) + m * (1 - t)
+    shift = draw(st.sampled_from([0.0, 1e3, 1e6]))
+    return xs, ms, np.array(list(acc)), np.array(list(acc.values())), shift
+
+
+def frontier_mass(nu, atoms, fracs, interval):
+    """Mass each row's map says its frontier has consumed: the atoms beyond
+    the map atom on its side, plus the consumed part of that atom."""
+    out = []
+    for y, f in zip(atoms.tolist(), fracs.tolist()):
+        side = nu.positions <= interval.a if y <= interval.a else nu.positions >= interval.b
+        beyond = nu.masses[side & (nu.positions > y)].sum()
+        out.append(0.0 if f == 0.0 else beyond + f * nu.masses[nu.positions == y][0])
+    return np.array(out)
+
+
+class TestCumulativeSweepProperty:
+    """The cumulative sweep against the parent's row walk (tests/row_walk.py).
+
+    Both move masses within snap onto kinks and leave no atom with a sliver,
+    but where a row's take is within snap the walk's outcome depends on the
+    state the earlier rows left (it drops such a take, and the mass stays
+    on the frontier for later rows or for good). The couplings are compared
+    as measures on (x, y) pairs: every pair's mass agrees within 1e-12 of
+    the total, so the supports are the same above that level.
+    """
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(separated_pairs())
+    def test_matches_row_walk(self, case):
+        xs, ms, ys, ws, shift = case
+        mu, nu = DiscreteMeasure(xs, ms), DiscreteMeasure(ys, ws)
+        mu_s, nu_s = DiscreteMeasure(xs + shift, ms), DiscreteMeasure(ys + shift, ws)
+        # the row walk runs unshifted, where it is accurate (its moments are
+        # not centred); the shift is exact on the grid
+        ref_interval = detect_separation(mu, nu)
+        pi_ref, maps_ref = row_walk_sweep(mu, nu, ref_interval)
+        interval = detect_separation(mu_s, nu_s)
+        pi, maps = solve_sweep(mu_s, nu_s, interval)
+        tol = 1e-12 * max(1.0, mu.total_mass())   # ten times the snap
+        pairs = {}
+        for x, y, w in pi_ref.entries():
+            pairs[x + shift, y + shift] = pairs.get((x + shift, y + shift), 0.0) - w
+        for x, y, w in pi.entries():
+            pairs[x, y] = pairs.get((x, y), 0.0) + w
+        assert max(map(abs, pairs.values()), default=0.0) <= tol
+        # pairs above tol in either coupling are in both, in the same order
+        heavy = {(x, y) for x, y, w in pi.entries() if w > tol}
+        heavy |= {(x + shift, y + shift) for x, y, w in pi_ref.entries() if w > tol}
+        order = [(x, y) for x, y, _ in pi.entries() if (x, y) in heavy]
+        assert order == [(x + shift, y + shift) for x, y, _ in pi_ref.entries()
+                         if (x + shift, y + shift) in heavy]
+        # the maps: the same consumed mass per row and side, and the same
+        # atoms unless the frontier stands within tol of a kink
+        assert np.array_equal(maps.xs, maps_ref.xs + shift)
+        for side, keep in (("lower", nu.positions <= ref_interval.a),
+                           ("upper", nu.positions >= ref_interval.b)):
+            kinks = np.concatenate(([0.0], np.cumsum(nu.masses[keep][::-1])))
+            got = frontier_mass(nu_s, getattr(maps, side),
+                                getattr(maps, side + "_frac"), interval)
+            ref = frontier_mass(nu, getattr(maps_ref, side),
+                                getattr(maps_ref, side + "_frac"), ref_interval)
+            assert np.abs(got - ref).max() <= tol
+            clear = np.abs(ref[:, None] - kinks[None, :]).min(axis=1) > tol
+            assert np.array_equal(getattr(maps, side)[clear],
+                                  getattr(maps_ref, side)[clear] + shift)
+
+    def test_memory_linear_in_cells(self):
+        mu = quantize(triangular_grid(100_000))
+        nu = six_atom_symmetric_nu()
+        interval = detect_separation(mu, nu)
+        tracemalloc.start()
+        try:
+            pi, _ = solve_sweep(mu, nu, interval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few dozen float arrays of the rows' or the entries' length
+        assert len(pi) <= 200_004
+        assert peak < 400 * len(mu)

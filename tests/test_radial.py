@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,36 @@ class TestInduce:
                                  rng.uniform(0, 1, cells))
             g = induce_1d(prof, n=2 * cells)
             assert np.array_equal(g.values, g.values[::-1])
+
+    def test_radial_cdf_matches_dense_formula(self):
+        rng = np.random.default_rng(17)
+        for cells in (1, 3, 40, 500, 2000):
+            for d in (2, 3, 5):
+                r = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, cells))))
+                f = rng.uniform(0.0, 2.0, cells) * (rng.random(cells) > 0.2)
+                f[0] = 1.0
+                prof = RadialProfile(d, r, f)
+                s = np.concatenate([rng.uniform(-0.5, 1.2 * r[-1], 400), r])
+                # dense oracle: every point against every cell
+                reach = np.clip(s[:, None], r[None, :-1], r[None, 1:])
+                shells = (reach ** d - r[None, :-1] ** d) / d
+                expect = unit_sphere_area(d) * shells @ f
+                got = prof.radial_cdf(s)
+                assert np.all(got[expect == 0] == 0)
+                pos = expect > 0
+                assert np.abs(got[pos] - expect[pos]).max() <= 1e-14 * expect[pos].max()
+                assert (np.abs(got[pos] - expect[pos]) <= 1e-14 * expect[pos]).all()
+
+    def test_induce_memory_linear(self):
+        prof = RadialProfile(3, np.linspace(0.0, 1.0, 4001), np.ones(4000))
+        tracemalloc.start()
+        try:
+            induce_1d(prof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8000 target cells: a dense (points x cells) matrix would take 256 MB
+        assert peak < 4e6
 
     def test_sphere_area_constants(self):
         assert unit_sphere_area(2) == pytest.approx(2 * np.pi)

@@ -7,10 +7,11 @@ Each checkout is a directory holding `src/` and `perfbench/`. The script runs
 `perfbench/run.py --workload all --trace 0` at the benchmark's run length in
 each checkout for PAIRS pairs, alternating which side runs first, and reports
 every end-to-end metric's median and quartiles per side, with the number of
-pairs the change won. The ladder then solves the benchmark's triangular pair
-at each size in LADDER once per side and times `detect_forbidden` in-process
-and the `verify` command as a fresh process, REPEATS times each. Both sides
-run with one BLAS thread. Pass a seed not used while writing the change.
+pairs the change won. The ladder then takes the benchmark's triangular pair
+at each size in LADDER and, per side, times `motkit.pipeline.solve` and
+`detect_forbidden` in-process and the `verify` command as a fresh process,
+REPEATS times each, reporting medians. Both sides run with one BLAS thread.
+Pass a seed not used while writing the change.
 
 The script goes away once `perfbench/run.py` writes BENCH_<pr>.json itself.
 """
@@ -35,8 +36,9 @@ SECONDS = 30  # BENCHMARK.json run_seconds
 LADDER = (1000, 8000, 64000)
 REPEATS = 3
 
-# Runs inside a checkout: solves the triangular pair once, then times
-# detect_forbidden in-process `repeats` times. Prints one JSON object.
+# Runs inside a checkout: times pipeline.solve on the triangular pair and
+# detect_forbidden on the coupling `solve` wrote, `repeats` times each.
+# Prints one JSON object.
 LADDER_CODE = """
 import json, sys
 from pathlib import Path
@@ -44,10 +46,18 @@ from time import perf_counter
 sys.path.insert(0, "perfbench")
 import workloads
 from motkit.cli import main
+from motkit.measures import as_discrete, load_marginal_pair
 from motkit.mot1d import read_coupling_json
+from motkit.pipeline import solve
 from motkit.verify import detect_forbidden
 n, work, repeats = int(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
 pair = workloads._write_json(work / "pair.json", workloads.triangular_pair(n))
+mu, nu = (as_discrete(m) for m in load_marginal_pair(pair))
+solve_times = []
+for _ in range(repeats):
+    start = perf_counter()
+    solve(mu, nu, 1.0)
+    solve_times.append(perf_counter() - start)
 assert main(["solve", pair, "--out", str(work / "c.json")]) == 0
 pi = read_coupling_json(work / "c.json")[0]
 times, found = [], None
@@ -55,7 +65,8 @@ for _ in range(repeats):
     start = perf_counter()
     found = detect_forbidden(pi)
     times.append(perf_counter() - start)
-print(json.dumps({"entries": len(pi), "found": len(found), "times": times}))
+print(json.dumps({"entries": len(pi), "found": len(found), "times": times,
+                  "solve_times": solve_times}))
 """
 
 
@@ -109,6 +120,7 @@ def ladder_rung(root: Path, n: int) -> dict:
                            check=True)
             walls.append(perf_counter() - start)
     return {"entries": rung["entries"], "found": rung["found"],
+            "solve_s": statistics.median(rung["solve_times"]),
             "detect_forbidden_s": statistics.median(rung["times"]),
             "verify_cli_s": statistics.median(walls)}
 
