@@ -124,10 +124,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_deform_check(args) -> int:
-    if args.q <= 0:
-        raise InputError("exponent q must be positive")
-    if args.grid < 2:
-        raise InputError("grid must have at least 2 points")
     rng = np.random.default_rng(args.seed)
     all_ok = True
     first_curve = None
@@ -162,6 +158,15 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low, convert=float):
+    """An argparse type for a finite number >= low (nan fails the test)."""
+    def number(text):
+        if low <= (value := convert(text)) < np.inf:
+            return value
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number >= {low}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="motkit",
                                  description="martingale transport toolkit")
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_p=True, with_tol=True):
         if with_tol:
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--tol", type=_at_least(0.0), default=1e-9)
         p.add_argument("--out", default=None)
         if with_p:
             p.add_argument("--p", type=float, default=1.0)
@@ -190,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--induced-csv", default=None)
     common(p)
     p.set_defaults(func=cmd_solve_radial)
@@ -202,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("deform-check", help="circular deformation monotonicity check")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--q", type=_at_least(0.0), required=True)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
+    p.add_argument("--instances", type=_at_least(1, int), default=20)
+    p.add_argument("--grid", type=_at_least(2, int), default=101)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_deform_check)
 
@@ -214,17 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sense", choices=("min", "max"), default="min")
     common(p, with_tol=False)
     p.set_defaults(func=cmd_oracle)
+    # a bad value raises ArgumentError, which main reports as an input error
+    for parser in (ap, *sub.choices.values()):
+        parser.exit_on_error = False
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotInConvexOrderError as exc:
         print(f"not in convex order: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except InputError as exc:
+    except (InputError, argparse.ArgumentError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailureError as exc:

@@ -7,21 +7,22 @@ atoms (y_j, nu_j) are constrained by
     column sums     sum_i pi[i, j]          = nu_j          (n rows)
     row barycenters sum_j y_j[k] pi[i, j]   = x_i[k] mu_i   (d*m rows)
 
-and the objective is sum pi[i, j] |x_i - y_j|^p. Each column of the
-constraint matrix has 2 + d nonzeros. The system is solved by a
-self-contained revised two-phase simplex: it keeps only the basis inverse
-B^-1 and the basic values, prices the nonzeros of A, forms the entering
-column alone and updates B^-1 by a rank-1 step, so a pivot costs
-O(rows^2 + nnz(A)) (Dantzig pricing with a Bland's-rule fallback once the
-objective stalls); B^-1 is recomputed from the basic columns after every
-rows-many updates. Infeasibility of phase 1 is exactly the convex-order
-failure of the marginals. uniqueness_probe decides whether the optimum is
-unique with one more LP, over the optimal face of the base solve.
+and the objective is sum pi[i, j] |x_i - y_j|^p. Only the 2 + d nonzeros of
+each constraint column are stored. The system is solved by a self-contained
+revised two-phase simplex: it keeps only the basis inverse B^-1 and the basic
+values, prices the nonzeros of A, forms the entering column alone and updates
+B^-1 by a rank-1 step, so a pivot costs O(rows^2 + nnz(A)) time and memory
+(Dantzig pricing with a Bland's-rule fallback once the objective stalls);
+B^-1 is recomputed from the basic columns after every rows-many updates.
+Infeasibility of phase 1 is exactly the convex-order failure of the
+marginals. uniqueness_probe decides whether the optimum is unique with one
+more LP, over the optimal face of the base solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,16 @@ RESIDUAL_RTOL = 1e-9       # feasibility residual gate on reported optima
 MAX_VARIABLES = 250_000
 
 
+class Nonzeros(NamedTuple):
+    """A sparse matrix of the given shape as its nonzero entries
+    val[k] = A[row[k], col[k]], sorted by column and then by row."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple
+
+
 class _Basis:
     """A simplex basis of [A I] v = b (rows with b < 0 negated): B^-1, the
     basic columns and their values, over the nonzeros of [A I] grouped by
@@ -46,14 +57,13 @@ class _Basis:
     with the pivot count.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
+    def __init__(self, A: Nonzeros, b: np.ndarray):
         m, self.n = A.shape
         self.width = self.n + m
         sign = np.where(b < 0, -1.0, 1.0)
-        nz_col, nz_row = np.nonzero(A.T)
-        self._set_nonzeros(np.concatenate([nz_row, np.arange(m)]),
-                           np.concatenate([nz_col, np.arange(self.n, self.width)]),
-                           np.concatenate([A[nz_row, nz_col] * sign[nz_row], np.ones(m)]))
+        self._set_nonzeros(np.concatenate([A.row, np.arange(m)]),
+                           np.concatenate([A.col, np.arange(self.n, self.width)]),
+                           np.concatenate([A.val * sign[A.row], np.ones(m)]))
         self.b = np.abs(b)
         self.inv = np.eye(m)
         self.basis = np.arange(self.n, self.width)
@@ -143,7 +153,8 @@ def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
             if d[col] >= -PIVOT_TOL:
                 return "optimal", it, d, bland
         u = B.column(col)
-        pos = u > PIVOT_TOL
+        # relative to the column's scale, so rounding noise never pivots
+        pos = u > PIVOT_TOL * max(1.0, float(np.abs(u).max()))
         if not pos.any():
             return "unbounded", it, d, bland
         ratios = np.full(len(u), np.inf)
@@ -164,11 +175,10 @@ def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
     return "maxiter", maxiter, None, bland
 
 
-def _revised_simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray,
                      feas_tol: float):
     """simplex_solve, plus the reduced costs c - y @ A at the optimum
     (None unless optimal)."""
-    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
@@ -209,7 +219,7 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     return "optimal", v, it1 + it2, msg, d
 
 
-def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray,
                   feas_tol: float):
     """min c@v subject to A v = b, v >= 0 (revised two-phase simplex).
 
@@ -230,7 +240,7 @@ class MotLp:
     nu: DiscreteMeasure
     p: float
     sense: str = "min"
-    A: np.ndarray = field(init=False, repr=False)
+    A: Nonzeros = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
 
@@ -247,30 +257,20 @@ class MotLp:
             raise InputError("sense must be 'min' or 'max'")
         if self.p <= 0:
             raise InputError("cost exponent must be positive")
-        if d == 1:
-            dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
-        else:
-            dist = np.linalg.norm(
-                mu.positions[:, None, :] - nu.positions[None, :, :], axis=2)
-        C = dist ** self.p
+        xpos, ypos = mu.positions.reshape(m, d), nu.positions.reshape(n, d)
+        diff = xpos[:, None, :] - ypos[None, :, :]
+        C = (np.abs(diff[..., 0]) if d == 1 else np.linalg.norm(diff, axis=2)) ** self.p
 
-        rows = m + n + d * m
-        A = np.zeros((rows, m * n))
-        b = np.zeros(rows)
-        for i in range(m):
-            A[i, i * n:(i + 1) * n] = 1.0
-            b[i] = mu.masses[i]
-        for j in range(n):
-            A[m + j, j::n] = 1.0
-            b[m + j] = nu.masses[j]
-        ypos = nu.positions if d > 1 else nu.positions[:, None]
-        xpos = mu.positions if d > 1 else mu.positions[:, None]
-        for i in range(m):
-            for k in range(d):
-                r = m + n + i * d + k
-                A[r, i * n:(i + 1) * n] = ypos[:, k]
-                b[r] = xpos[i, k] * mu.masses[i]
-        for arr in (A, b, C):
+        # column i*n + j: rows i, m + j and m + n + i*d + k, values 1, 1 and
+        # y_j[k]; exact zeros (coordinates at 0) are not stored
+        ii, jj = np.divmod(np.arange(m * n), n)
+        row = np.column_stack([ii, m + jj, m + n + d * ii[:, None] + np.arange(d)])
+        val = np.column_stack([np.ones((m * n, 2)), ypos[jj]])
+        nz = val.ravel() != 0
+        A = Nonzeros(row.ravel()[nz], np.repeat(np.arange(m * n), 2 + d)[nz],
+                     val.ravel()[nz], (m + n + d * m, m * n))
+        b = np.concatenate([mu.masses, nu.masses, (xpos * mu.masses[:, None]).ravel()])
+        for arr in (A.row, A.col, A.val, b, C):
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -305,7 +305,9 @@ def _support_cutoff(prob: MotLp) -> float:
 
 def _residual(prob: MotLp, v: np.ndarray) -> tuple:
     """Max-abs residual of A v = b, and whether it passes the gate."""
-    resid = float(np.abs(prob.A @ v - prob.b).max())
+    A = prob.A
+    Av = np.bincount(A.row, weights=A.val * v[A.col], minlength=len(prob.b))
+    resid = float(np.abs(Av - prob.b).max())
     return resid, resid <= RESIDUAL_RTOL * max(1.0, float(np.abs(prob.b).max()))
 
 
@@ -348,13 +350,8 @@ def diagonal_mass(sol: LpSolution) -> float:
     if sol.status != "optimal":
         raise InputError("diagonal_mass requires an optimal solution")
     pi = sol.coupling
-    if len(pi) == 0:
-        return 0.0
-    if pi.dim == 1:
-        on_diag = np.abs(pi.xs - pi.ys) <= 1e-12
-    else:
-        on_diag = np.linalg.norm(pi.xs - pi.ys, axis=1) <= 1e-12
-    return float(pi.masses[on_diag].sum())
+    gap = np.linalg.norm((pi.xs - pi.ys).reshape(len(pi), pi.dim), axis=1)
+    return float(pi.masses[gap <= 1e-12].sum())
 
 
 def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:
@@ -381,7 +378,10 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool
     base_v = base.matrix.ravel()
     face = np.flatnonzero(reduced <= PIVOT_TOL * max(1.0, float(np.abs(prob.C).max())))
     empty = (base_v[face] <= _support_cutoff(prob)).astype(float)
-    status, v_face, _, msg = simplex_solve(prob.A[:, face], prob.b, -empty, feas_tol)
+    A, on_face = prob.A, np.isin(prob.A.col, face)
+    A_face = Nonzeros(A.row[on_face], np.searchsorted(face, A.col[on_face]),
+                      A.val[on_face], (len(prob.b), len(face)))
+    status, v_face, _, msg = simplex_solve(A_face, prob.b, -empty, feas_tol)
     if status != "optimal":
         raise SolverFailureError(f"face solve failed: {status} {msg}")
     v = np.zeros(len(base_v))

@@ -263,19 +263,15 @@ class OrderReport:
         return f"call-function gap {self.worst_gap:.3e} at k={self.worst_k:.6g}"
 
 
-def quantize(g: GridDensity, normalize: bool = False) -> DiscreteMeasure:
+def quantize(g: GridDensity) -> DiscreteMeasure:
     """Collapse each grid cell to one atom at its midpoint.
 
     The midpoint is the conditional mean of a constant-density cell, so total
     mass and mean are preserved exactly. Zero-mass cells produce no atom.
-    With normalize=True masses are rescaled to total 1.
     """
     masses = g.values * g.cell_width
-    total = masses.sum()
-    if total <= 0:
+    if masses.sum() <= 0:
         raise InputError("grid density has zero total mass")
-    if normalize:
-        masses = masses / total
     keep = masses > 0
     return DiscreteMeasure(g.midpoints()[keep], masses[keep], dim=1)
 
@@ -391,8 +387,8 @@ def load_marginal_pair(path):
         raise InputError(f"cannot read marginal spec {path}: {exc}") from exc
 
 
-def as_discrete(m, normalize: bool = False) -> DiscreteMeasure:
+def as_discrete(m) -> DiscreteMeasure:
     """Quantize grid marginals; pass discrete ones through."""
     if isinstance(m, GridDensity):
-        return quantize(m, normalize=normalize)
+        return quantize(m)
     return m

@@ -131,13 +131,9 @@ def induce_1d(rp: RadialProfile, n: int | None = None) -> GridDensity:
     # integer-offset edges are exactly mirror-symmetric, unlike linspace
     edges = (2.0 * np.arange(n + 1) - n) * (R / n)
     lo, hi = edges[:-1], edges[1:]
-    # mass on [lo, hi] of the even density, via the one-sided radial cdf
-    half = 0.5 * (rp.radial_cdf(np.abs(hi)) - rp.radial_cdf(np.abs(lo)))
-    straddle = (lo < 0) & (hi > 0)
-    masses = np.abs(half)
-    if straddle.any():
-        masses[straddle] = 0.5 * (rp.radial_cdf(np.abs(hi[straddle]))
-                                  + rp.radial_cdf(np.abs(lo[straddle])))
+    # mass on [lo, hi]: with F = radial_cdf, sign(s) F(|s|) / 2 is an antiderivative
+    masses = 0.5 * np.abs(np.sign(hi) * rp.radial_cdf(np.abs(hi))
+                          - np.sign(lo) * rp.radial_cdf(np.abs(lo)))
     values = masses / (edges[1] - edges[0])
     return GridDensity(-R, R, n, values)
 

@@ -7,7 +7,7 @@ with a known margin and the solvers can be cross-checked without filtering.
 
 import numpy as np
 
-from motkit import Coupling, DiscreteMeasure, GridDensity
+from motkit import Coupling, DiscreteMeasure, GridDensity, RadialAtoms
 
 
 def separated_instance(rng, kmax=15, pool_max=7):
@@ -83,8 +83,7 @@ def six_atom_symmetric_nu():
 def ring_instance(n_fold=8, r_mu=1.0, r_lo=0.5, r_hi=2.0):
     """d=2 pair: mu on one ring, nu on two rings, n_fold-symmetric, in
     convex order by a radial mean-preserving split of each atom."""
-    angles = 2.0 * np.pi * np.arange(n_fold) / n_fold
-    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    ring = ring_directions(n_fold)
     lam = (r_hi - r_mu) / (r_hi - r_lo)
     mu = DiscreteMeasure(r_mu * ring, np.full(n_fold, 1.0 / n_fold), dim=2)
     nu_pos = np.vstack([r_lo * ring, r_hi * ring])
@@ -92,6 +91,52 @@ def ring_instance(n_fold=8, r_mu=1.0, r_lo=0.5, r_hi=2.0):
                            np.full(n_fold, (1.0 - lam) / n_fold)])
     nu = DiscreteMeasure(nu_pos, nu_w, dim=2)
     return mu, nu
+
+
+def ring_directions(n_fold):
+    """n_fold unit vectors of the plane at angles 2 pi k / n_fold."""
+    angles = 2.0 * np.pi * np.arange(n_fold) / n_fold
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def polyhedron_directions(name):
+    """Unit vertices of the octahedron, cube or icosahedron in R^3, each
+    set closed under x -> -x."""
+    signs = (-1.0, 1.0)
+    if name == "octahedron":
+        v = np.vstack([np.eye(3), -np.eye(3)])
+    elif name == "cube":
+        v = np.array([[a, b, c] for a in signs for b in signs for c in signs])
+    elif name == "icosahedron":
+        phi = (1.0 + np.sqrt(5.0)) / 2.0
+        v = np.array([row for a in signs for b in signs
+                      for row in ([0.0, a, b * phi], [a, b * phi, 0.0],
+                                  [b * phi, 0.0, a])])
+    else:
+        raise ValueError(f"unknown polyhedron {name!r}")
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def shell_atoms(directions, shells):
+    """The RadialAtoms `shells` on the rays through `directions`: a shell
+    |x| = r of mass w puts w / k at r u for each of the k unit vectors u."""
+    k, dim = directions.shape
+    pos = np.vstack([r * directions for r in shells.radii])
+    return DiscreteMeasure(pos, np.repeat(shells.masses / k, k), dim=dim)
+
+
+def shell_spread(rng, dim):
+    """Seeded RadialAtoms pair (mu, nu) with mu <=_c nu: two mu shells in
+    [1, 2], each split along its own rays between one nu shell inside both
+    and one outside both, with martingale weights."""
+    r = np.sort(rng.uniform(1.0, 2.0, 2))
+    w = rng.uniform(0.2, 1.0, 2)
+    w /= w.sum()
+    lo = rng.uniform(0.1, 0.9) * r[0]
+    hi = rng.uniform(1.2, 2.5) * r[1]
+    t = (hi - r) / (hi - lo)
+    return (RadialAtoms(dim, r, w),
+            RadialAtoms(dim, [lo, hi], [w @ t, w @ (1.0 - t)]))
 
 
 def rotation_2d(theta):

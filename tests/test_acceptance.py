@@ -18,10 +18,12 @@ from motkit import (DiscreteMeasure, RadialAtoms, RadialProfile,
                     deformation_curve, detect_forbidden, detect_separation,
                     induce_1d, quantize, reflection_residual, sample_lifted,
                     solve_lp, solve_radial, solve_sweep, swap_gain,
-                    DeformationInstance, random_deformation_instance)
+                    uniqueness_probe, DeformationInstance,
+                    random_deformation_instance)
 from instances import (not_in_order_instance, overlapping_instance,
-                       plant_cross_swap, ring_instance, rotation_2d,
-                       separated_instance, six_atom_symmetric_nu,
+                       plant_cross_swap, polyhedron_directions, ring_directions,
+                       ring_instance, rotation_2d, separated_instance,
+                       shell_atoms, shell_spread, six_atom_symmetric_nu,
                        triangular_grid)
 
 SEED = 20260811
@@ -298,3 +300,37 @@ def test_c11_infeasibility_iff_order_failure():
         assert sol.status == "infeasible"
     print("PASS criterion 11: LP infeasibility and convex-order failure agree "
           "on 50 negative instances")
+
+
+def test_c12_theorem_in_rd():
+    # the paper's claim checked in R^d, not only after the reduction: for
+    # radially symmetric shells and 0 < p <= 1 the d-dimensional LP optimum
+    # is unique, costs what the 1-D radial solve costs, and moves mass only
+    # along the line through each source atom
+    rng = np.random.default_rng(SEED + 12)
+    direction_sets = [ring_directions(k) for k in (4, 8, 16)] + [
+        polyhedron_directions(name)
+        for name in ("octahedron", "cube", "icosahedron")]
+    worst_gap = worst_off = 0.0
+    cases = 0
+    for directions in direction_sets:
+        for _ in range(3):
+            mu_shells, nu_shells = shell_spread(rng, directions.shape[1])
+            mu, nu = shell_atoms(directions, mu_shells), shell_atoms(directions, nu_shells)
+            for p in (0.5, 1.0):
+                sol = solve_lp(mu, nu, p)
+                assert sol.status == "optimal", sol.message
+                _, radial_cost = solve_radial(mu_shells, nu_shells, p)
+                gap = abs(sol.objective - radial_cost) / radial_cost
+                assert gap <= 1e-12
+                pi = sol.coupling
+                ray = pi.xs / np.linalg.norm(pi.xs, axis=1, keepdims=True)
+                along = np.sum(pi.ys * ray, axis=1, keepdims=True) * ray
+                off = float(np.linalg.norm(pi.ys - along, axis=1).max())
+                assert off <= 1e-9
+                assert uniqueness_probe(mu, nu, p)
+                worst_gap, worst_off = max(worst_gap, gap), max(worst_off, off)
+                cases += 1
+    print(f"PASS criterion 12: d-dimensional LP unique, on rays and equal to the "
+          f"radial cost on {cases} shell pairs (worst gap {worst_gap:.1e}, "
+          f"off-ray {worst_off:.1e})")

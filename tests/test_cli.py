@@ -248,6 +248,41 @@ class TestDeformCheck:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestBadNumbers:
+    # rejected when the arguments are parsed, with EXIT_INPUT; valid values
+    # give these pairs exit 0
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol(self, tol, pair_file, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["solve", pair_file, "--out", str(out)]) == 0
+        for argv in (["check-order", pair_file], ["solve", pair_file],
+                     ["verify", "--coupling", str(out), "--marginals", pair_file]):
+            assert main(argv) == 0
+            assert main(argv + ["--tol", tol]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-radial", "RADIAL", "--n", "50", "--samples", "10"],
+        ["deform-check", "--q", "0.5", "--instances", "1"],
+    ], ids=["solve-radial", "deform-check"])
+    def test_seed(self, argv, radial_file):
+        argv = [radial_file if a == "RADIAL" else a for a in argv]
+        assert main(argv + ["--seed", "3"]) == 0
+        assert main(argv + ["--seed", "-1"]) == 2
+
+    def test_instances(self):
+        assert main(["deform-check", "--q", "0.5", "--instances", "1"]) == 0
+        assert main(["deform-check", "--q", "0.5", "--instances", "0"]) == 2
+
+    @pytest.mark.parametrize("q", ["nan", "inf", "0"])
+    def test_q(self, q):
+        assert main(["deform-check", "--q", q, "--instances", "1"]) == 2
+
+    def test_grid(self):
+        assert main(["deform-check", "--q", "0.5", "--instances", "1",
+                     "--grid", "2"]) == 0
+        assert main(["deform-check", "--q", "0.5", "--grid", "1"]) == 2
+
+
 class TestOracle:
     def test_min_objective(self, pair_file, capsys):
         assert main(["oracle", pair_file, "--p", "1.0"]) == 0

@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 import motkit.lp
-from motkit import (Coupling, DiscreteMeasure, MotLp, common_mass_split,
-                    cost, detect_separation, diagonal_mass, solve_lp,
-                    solve_sweep, uniqueness_probe, validate_coupling)
-from motkit.lp import RESIDUAL_RTOL, simplex_solve
-from instances import (overlapping_instance, ring_instance, rotation_2d,
-                       separated_instance, spread_pair_instance)
+from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
+                    common_mass_split, cost, detect_separation, diagonal_mass,
+                    solve_lp, solve_radial, solve_sweep, uniqueness_probe,
+                    validate_coupling)
+from motkit.lp import RESIDUAL_RTOL, Nonzeros, simplex_solve
+from instances import (overlapping_instance, ring_directions, ring_instance,
+                       rotation_2d, separated_instance, shell_atoms,
+                       spread_pair_instance)
+
+
+def scipy_matrix(A: Nonzeros):
+    """The constraint matrix held as nonzeros, as a scipy sparse matrix."""
+    return coo_matrix((A.val, (A.row, A.col)), shape=A.shape).tocsr()
+
+
+def nonzeros(dense: np.ndarray) -> Nonzeros:
+    """The sparse form of a small dense constraint matrix."""
+    col, row = np.nonzero(dense.T)
+    return Nonzeros(row, col, dense[row, col], dense.shape)
 
 
 class TestExamples:
@@ -39,7 +53,7 @@ class TestAgainstScipy:
             mu, nu = separated_instance(rng, kmax=8)
             p = float(rng.choice([0.3, 0.5, 1.0]))
             prob = MotLp(mu, nu, p)
-            ref = linprog(prob.C.ravel(), A_eq=prob.A, b_eq=prob.b,
+            ref = linprog(prob.C.ravel(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
                           bounds=(0, None), method="highs")
             sol = solve_lp(mu, nu, p)
             assert sol.status == "optimal" and ref.status == 0
@@ -49,7 +63,7 @@ class TestAgainstScipy:
         for seed in range(2):
             mu, nu = spread_pair_instance(np.random.default_rng([41, seed]), 40)
             prob = MotLp(mu, nu, 1.0)
-            ref = linprog(prob.C.ravel(), A_eq=prob.A, b_eq=prob.b,
+            ref = linprog(prob.C.ravel(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
                           bounds=(0, None), method="highs")
             sol = solve_lp(mu, nu, 1.0)
             assert sol.status == "optimal" and ref.status == 0
@@ -60,7 +74,7 @@ class TestAgainstScipy:
         for _ in range(4):
             inner, spread = separated_instance(rng, kmax=5)
             prob = MotLp(spread, inner, 1.0)  # reversed roles: infeasible
-            ref = linprog(prob.C.ravel(), A_eq=prob.A, b_eq=prob.b,
+            ref = linprog(prob.C.ravel(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
                           bounds=(0, None), method="highs")
             assert solve_lp(spread, inner, 1.0).status == "infeasible"
             assert ref.status == 2
@@ -93,7 +107,7 @@ class TestFeasibilityAndDuality:
         rng = np.random.default_rng(97)
         mu, nu = separated_instance(rng, kmax=6)
         prob = MotLp(mu, nu, 0.5, sense="max")
-        ref = linprog(-prob.C.ravel(), A_eq=prob.A, b_eq=prob.b,
+        ref = linprog(-prob.C.ravel(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
                       bounds=(0, None), method="highs")
         sol = solve_lp(mu, nu, 0.5, sense="max")
         assert sol.objective == pytest.approx(-ref.fun, abs=1e-8)
@@ -111,7 +125,8 @@ class TestRevisedSimplex:
         # a repeated (scaled) row, and a row stated with negative sign
         A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, -1.0, -1.0]])
         b = np.array([1.0, 2.0, -1.0])
-        status, v, _, _ = simplex_solve(A, b, np.array([1.0, 3.0, 1.0]), 1e-8)
+        status, v, _, _ = simplex_solve(nonzeros(A), b, np.array([1.0, 3.0, 1.0]),
+                                        1e-8)
         assert status == "optimal"
         assert np.allclose(v, [1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
 
@@ -124,7 +139,7 @@ class TestRevisedSimplex:
                       [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         b = np.array([0.0, 0.0, 1.0])
         c = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
-        status, v, _, msg = simplex_solve(A, b, c, 1e-8)
+        status, v, _, msg = simplex_solve(nonzeros(A), b, c, 1e-8)
         assert status == "optimal"
         assert msg == "Bland's rule switched on in phase 2"
         assert np.abs(A @ v - b).max() <= 1e-12 and v.min() >= 0.0
@@ -195,7 +210,7 @@ class TestUniquenessProbe:
         def checked(A, b, c, feas_tol):
             status, v, iters, msg = solve(A, b, c, feas_tol)
             assert status == "optimal"
-            scaled_residuals.append(float(np.abs(np.asarray(A) @ v - b).max())
+            scaled_residuals.append(float(np.abs(scipy_matrix(A) @ v - b).max())
                                     / max(1.0, float(np.abs(b).max())))
             return status, v, iters, msg
 
@@ -223,6 +238,37 @@ class TestUniquenessProbe:
             assert validate_coupling(pi, mu, nu).max_residual() <= 1e-12
             assert cost(pi, 1.0) == pytest.approx(sol.objective, abs=1e-12)
         assert not uniqueness_probe(mu, nu, 1.0)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nonzeros_match_dense_constraints(self, dim):
+        # the row-sum, column-sum and barycenter rows written out densely:
+        # the stored nonzeros are exactly its nonzeros, sorted by column and
+        # then by row, so a nu atom at a zero coordinate stores nothing there
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (3, dim))
+        y = rng.uniform(-2.0, 2.0, (4, dim))
+        y[0, 0] = 0.0
+        mu = DiscreteMeasure(x.squeeze(1) if dim == 1 else x, np.full(3, 1 / 3), dim=dim)
+        nu = DiscreteMeasure(y.squeeze(1) if dim == 1 else y, np.full(4, 1 / 4), dim=dim)
+        prob = MotLp(mu, nu, 1.0)
+        xs, ys = mu.positions.reshape(3, dim), nu.positions.reshape(4, dim)
+        dense = np.zeros((3 + 4 + 3 * dim, 12))
+        b = np.zeros(len(dense))
+        for i in range(3):
+            for j in range(4):
+                dense[[i, 3 + j], 4 * i + j] = 1.0
+                dense[7 + dim * i:7 + dim * (i + 1), 4 * i + j] = ys[j]
+            b[i] = mu.masses[i]
+            b[7 + dim * i:7 + dim * (i + 1)] = xs[i] * mu.masses[i]
+        b[3:7] = nu.masses
+        col, row = np.nonzero(dense.T)
+        A = prob.A
+        assert A.shape == dense.shape
+        assert np.array_equal(A.row, row) and np.array_equal(A.col, col)
+        assert np.array_equal(A.val, dense[row, col])
+        assert np.array_equal(prob.b, b)
 
 
 class TestInputContracts:
@@ -253,6 +299,18 @@ class TestPlanarInstances:
         assert sol.status == "optimal"
         # optimal value: each atom splits along its ray to radii 0.5 and 2
         assert sol.objective == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_two_shells_on_16_rays(self, p):
+        # the ratio test once pivoted on rounding noise here, so B^-1 grew
+        # to cond 3.9e12 and its refactorization found B singular
+        mu_shells = RadialAtoms(2, [1.0, 1.5], [0.5, 0.5])
+        nu_shells = RadialAtoms(2, [0.5, 3.0], [0.7, 0.3])
+        rays = ring_directions(16)
+        sol = solve_lp(shell_atoms(rays, mu_shells), shell_atoms(rays, nu_shells), p)
+        assert sol.status == "optimal"
+        _, radial_cost = solve_radial(mu_shells, nu_shells, p)
+        assert sol.objective == pytest.approx(radial_cost, rel=1e-12, abs=0.0)
 
     def test_rotation_invariance_quick(self):
         mu, nu = ring_instance()

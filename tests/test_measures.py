@@ -35,11 +35,6 @@ class TestQuantize:
         assert abs(mass - 1.0) <= 1e-12
         assert abs(mean) <= 1e-12
 
-    def test_normalize(self):
-        g = GridDensity(0.0, 2.0, 4, [1.0, 2.0, 3.0, 4.0])
-        q = quantize(g, normalize=True)
-        assert abs(q.total_mass() - 1.0) <= 1e-15
-
     def test_zero_cells_dropped(self):
         g = GridDensity(0.0, 3.0, 3, [1.0, 0.0, 2.0])
         q = quantize(g)
