@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("deform-check", help="circular deformation monotonicity check")
-    p.add_argument("--q", type=_at_least(0.0), required=True)
+    p.add_argument("--q", type=float, required=True)
     p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--instances", type=_at_least(1, int), default=20)
     p.add_argument("--grid", type=_at_least(2, int), default=101)
@@ -219,20 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sense", choices=("min", "max"), default="min")
     common(p, with_tol=False)
     p.set_defaults(func=cmd_oracle)
-    # a bad value raises ArgumentError, which main reports as an input error
-    for parser in (ap, *sub.choices.values()):
-        parser.exit_on_error = False
     return ap
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotInConvexOrderError as exc:
         print(f"not in convex order: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (InputError, argparse.ArgumentError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailureError as exc:

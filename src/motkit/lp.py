@@ -261,8 +261,7 @@ class MotLp:
         diff = xpos[:, None, :] - ypos[None, :, :]
         C = (np.abs(diff[..., 0]) if d == 1 else np.linalg.norm(diff, axis=2)) ** self.p
 
-        # column i*n + j: rows i, m + j and m + n + i*d + k, values 1, 1 and
-        # y_j[k]; exact zeros (coordinates at 0) are not stored
+        # column i*n + j has rows i, m + j, m + n + i*d + k; exact zeros are dropped
         ii, jj = np.divmod(np.arange(m * n), n)
         row = np.column_stack([ii, m + jj, m + n + d * ii[:, None] + np.arange(d)])
         val = np.column_stack([np.ones((m * n, 2)), ypos[jj]])
@@ -305,8 +304,7 @@ def _support_cutoff(prob: MotLp) -> float:
 
 def _residual(prob: MotLp, v: np.ndarray) -> tuple:
     """Max-abs residual of A v = b, and whether it passes the gate."""
-    A = prob.A
-    Av = np.bincount(A.row, weights=A.val * v[A.col], minlength=len(prob.b))
+    Av = np.bincount(prob.A.row, weights=prob.A.val * v[prob.A.col], minlength=len(prob.b))
     resid = float(np.abs(Av - prob.b).max())
     return resid, resid <= RESIDUAL_RTOL * max(1.0, float(np.abs(prob.b).max()))
 
@@ -350,8 +348,13 @@ def diagonal_mass(sol: LpSolution) -> float:
     if sol.status != "optimal":
         raise InputError("diagonal_mass requires an optimal solution")
     pi = sol.coupling
-    gap = np.linalg.norm((pi.xs - pi.ys).reshape(len(pi), pi.dim), axis=1)
-    return float(pi.masses[gap <= 1e-12].sum())
+    if len(pi) == 0:
+        return 0.0
+    if pi.dim == 1:
+        on_diag = np.abs(pi.xs - pi.ys) <= 1e-12
+    else:
+        on_diag = np.linalg.norm(pi.xs - pi.ys, axis=1) <= 1e-12
+    return float(pi.masses[on_diag].sum())
 
 
 def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:

@@ -211,8 +211,8 @@ class DeformationInstance:
             raise InputError("need |z| < r with r > 0")
         if self.b == 0:
             raise InputError("barycenter height b must be nonzero")
-        if self.q <= 0:
-            raise InputError("cost exponent q must be positive")
+        if not 0 < self.q < math.inf:
+            raise InputError("cost exponent q must be finite and positive")
         a = math.sqrt(self.r ** 2 - self.z ** 2)
         if self.a is not None and abs(self.a - a) > 1e-9:
             raise InputError("a is inconsistent with r, z")
