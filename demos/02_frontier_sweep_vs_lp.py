@@ -11,8 +11,8 @@ instance by brute force; the two must agree to machine precision.
 import numpy as np
 
 from motkit import (DiscreteMeasure, check_decreasing, cost, coupling_matrix,
-                    detect_forbidden, detect_separation, solve_lp,
-                    solve_sweep, uniqueness_probe)
+                    detect_forbidden, detect_separation, solve, solve_lp,
+                    uniqueness_probe)
 
 rng = np.random.default_rng(8)
 
@@ -32,7 +32,8 @@ nu = DiscreteMeasure(list(pools.keys()), list(pools.values()))
 interval = detect_separation(mu, nu)
 print(f"separation interval: ({interval.a:+.3f}, {interval.b:+.3f})\n")
 
-pi, maps = solve_sweep(mu, nu, interval)
+sol = solve(mu, nu, 1.0, method="sweep")
+pi, maps = sol.coupling(), sol.maps
 print("frontier maps (x -> deepest target per side, consumed fraction):")
 print(f"{'x':>8} {'S(x)':>8} {'T(x)':>8} {'lam-':>6} {'lam+':>6}")
 for x, s, t, lm, lp_ in maps.as_rows():

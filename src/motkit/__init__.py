@@ -13,7 +13,7 @@ from .measures import (DiscreteMeasure, GridDensity, OrderReport,
                        quantize)
 from .mot1d import (Coupling, SeparationInterval, TransportMaps,
                     cost, coupling_matrix, detect_separation,
-                    reflection_residual, solve_sweep)
+                    reflection_residual)
 from .pipeline import solve
 from .lp import LpSolution, MotLp, diagonal_mass, solve_lp, uniqueness_probe
 from .radial import (LiftedCoupling, RadialAtoms, RadialProfile, induce_1d,
@@ -44,6 +44,6 @@ __all__ = [
     "r_equivalent", "random_deformation_instance", "reflection_residual",
     "rotate_pushforward", "rotation_group_2d", "sample_lifted",
     "solve", "solve_lp", "solve_radial",
-    "solve_sweep", "swap_gain", "symmetrize_coupling",
+    "swap_gain", "symmetrize_coupling",
     "uniqueness_probe", "unit_sphere_area", "validate_coupling",
 ]

@@ -14,7 +14,7 @@ class InputError(MotkitError, ValueError):
 
 
 class SeparationError(InputError):
-    """The separation interval does not carry all of mu and none of nu."""
+    """A forced sweep on a remainder no interval separates; pipeline.solve only."""
 
 
 class NotInConvexOrderError(MotkitError):

@@ -284,7 +284,7 @@ class MotLp:
 class LpSolution:
     """Outcome of an LP solve; matrix is the (m, n) coupling by atom index."""
 
-    status: str                      # optimal | infeasible | numerical-failure
+    status: str                      # optimal | infeasible; failures raise
     coupling: Coupling | None
     objective: float | None
     matrix: np.ndarray | None
@@ -302,26 +302,24 @@ def _support_cutoff(prob: MotLp) -> float:
     return 1e-12 * max(1.0, prob.mu.total_mass() + prob.nu.total_mass())
 
 
-def _residual(prob: MotLp, v: np.ndarray) -> tuple:
-    """Max-abs residual of A v = b, and whether it passes the gate."""
+def _gated_residual(prob: MotLp, v: np.ndarray, solve: str) -> float:
+    """Max-abs residual of A v = b; past the gate, SolverFailureError."""
     Av = np.bincount(prob.A.row, weights=prob.A.val * v[prob.A.col], minlength=len(prob.b))
     resid = float(np.abs(Av - prob.b).max())
-    return resid, resid <= RESIDUAL_RTOL * max(1.0, float(np.abs(prob.b).max()))
+    if resid > RESIDUAL_RTOL * max(1.0, float(np.abs(prob.b).max())):
+        raise SolverFailureError(f"{solve} failed: feasibility residual {resid:.3e}",
+                                 residual=resid)
+    return resid
 
 
 def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
     """Gate a simplex result on its feasibility residual and read off the
-    coupling."""
+    coupling; a failed solve or a missed gate raises SolverFailureError."""
     if status == "infeasible":
         return LpSolution("infeasible", None, None, None, {}, iters, msg)
     if status != "optimal":
-        return LpSolution("numerical-failure", None, None, None, {}, iters, msg)
-
-    resid, ok = _residual(prob, v)
-    residuals = {"feasibility": resid}
-    if not ok:
-        return LpSolution("numerical-failure", None, None, None, residuals,
-                          iters, f"feasibility residual {resid:.3e}")
+        raise SolverFailureError(f"LP failed: {msg}")
+    residuals = {"feasibility": _gated_residual(prob, v, "LP")}
 
     mu, nu = prob.mu, prob.nu
     m, n = len(mu), len(nu)
@@ -336,7 +334,8 @@ def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
              sense: str = "min") -> LpSolution:
     """Solve the discrete martingale transport LP to optimality.
 
-    Infeasibility is equivalent to the marginals not being in convex order.
+    Infeasibility is equivalent to the marginals not being in convex order;
+    a failed simplex or a missed residual gate raises SolverFailureError.
     """
     prob = MotLp(mu, nu, p, sense)
     return _solution(prob, *simplex_solve(prob.A, prob.b,
@@ -389,7 +388,5 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool
         raise SolverFailureError(f"face solve failed: {status} {msg}")
     v = np.zeros(len(base_v))
     v[face] = v_face
-    resid, ok = _residual(prob, v)
-    if not ok:
-        raise SolverFailureError(f"face solve failed: feasibility residual {resid:.3e}")
+    _gated_residual(prob, v, "face solve")
     return bool(np.abs(v - base_v).max() <= 1e-7)

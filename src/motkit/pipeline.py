@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NotInConvexOrderError, SolverFailureError
+from .errors import InputError, NotInConvexOrderError, SeparationError
 from . import lp as lp_mod
 from .measures import DiscreteMeasure, common_mass_split, convex_order_check
 from .mot1d import (Coupling, TransportMaps, check_exponent, detect_separation,
@@ -40,9 +40,11 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
           method: str = "auto", tol: float = 1e-9) -> Solution:
     """Optimal martingale coupling of two 1-D measures for cost |x-y|^p.
 
-    Raises NotInConvexOrderError when the remainder fails the order check at
-    `tol` (carrying the OrderReport) or the LP finds it infeasible (no
-    report); forcing "sweep" on a non-separated remainder is an InputError.
+    The only gate of a 1-D solve: behind it, the sweep and the LP raise only
+    their own numerical failures (SolverFailureError). Raises
+    NotInConvexOrderError when the remainder fails the order check at `tol`
+    (carrying the OrderReport) or the LP finds it infeasible (no report);
+    forcing "sweep" on a non-separated remainder raises SeparationError.
     """
     check_exponent(p)
     if method not in ("auto", "sweep", "lp"):
@@ -59,12 +61,10 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
         method = "lp" if interval is None else "sweep"
     if method == "sweep":
         if interval is None:
-            raise InputError("marginals are not separated; use --method lp")
+            raise SeparationError("marginals are not separated; use --method lp")
         pi, maps = solve_sweep(mu_bar, nu_bar, interval, tol=tol)
         return Solution(common, pi, maps, "sweep")
     sol = lp_mod.solve_lp(mu_bar, nu_bar, p)
     if sol.status == "infeasible":
         raise NotInConvexOrderError("the LP finds no martingale coupling")
-    if sol.status != "optimal":
-        raise SolverFailureError(f"LP failed: {sol.status} {sol.message}")
     return Solution(common, sol.coupling, None, "lp")

@@ -17,9 +17,10 @@ from motkit import (DiscreteMeasure, RadialAtoms, RadialProfile,
                     cost, count_targets_per_side, coupling_matrix,
                     deformation_curve, detect_forbidden, detect_separation,
                     induce_1d, quantize, reflection_residual, sample_lifted,
-                    solve_lp, solve_radial, solve_sweep, swap_gain,
+                    solve_lp, solve_radial, swap_gain,
                     uniqueness_probe, DeformationInstance,
                     random_deformation_instance)
+from motkit.mot1d import solve_sweep
 from instances import (not_in_order_instance, overlapping_instance,
                        plant_cross_swap, polyhedron_directions, ring_directions,
                        ring_instance, rotation_2d, separated_instance,

@@ -275,6 +275,16 @@ class TestBadNumbers:
         assert main(argv + ["--seed", "3"]) == 0
         self.assert_rejected(argv + ["--seed", "-1"])
 
+    @pytest.mark.parametrize("samples", ["1", "-3"])
+    def test_samples(self, samples, radial_file, capsys):
+        # one sample has no standard error and a negative count no samples;
+        # both are rejected before anything is solved or printed
+        argv = ["solve-radial", radial_file, "--n", "50", "--samples"]
+        assert main(argv + ["0"]) == 0
+        capsys.readouterr()
+        self.assert_rejected(argv + [samples])
+        assert capsys.readouterr().out == ""
+
     def test_instances(self):
         assert main(["deform-check", "--q", "0.5", "--instances", "1"]) == 0
         self.assert_rejected(["deform-check", "--q", "0.5", "--instances", "0"])

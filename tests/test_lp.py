@@ -6,9 +6,10 @@ from scipy.sparse import coo_matrix
 import motkit.lp
 from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
                     common_mass_split, cost, detect_separation, diagonal_mass,
-                    solve_lp, solve_radial, solve_sweep, uniqueness_probe,
+                    solve_lp, solve_radial, uniqueness_probe,
                     validate_coupling)
 from motkit.lp import RESIDUAL_RTOL, Nonzeros, simplex_solve
+from motkit.mot1d import solve_sweep
 from instances import (overlapping_instance, ring_directions, ring_instance,
                        rotation_2d, separated_instance, shell_atoms,
                        spread_pair_instance)

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motkit import (Coupling, DiscreteMeasure, InputError,
-                    NotInConvexOrderError, SeparationError,
-                    SeparationInterval, cost, coupling_matrix,
-                    detect_separation, reflection_residual,
-                    solve_lp, solve_sweep, validate_coupling)
-from motkit.mot1d import (SNAP_FRACTION, read_coupling_json,
+                    NotInConvexOrderError, SeparationInterval, cost,
+                    coupling_matrix, detect_separation, reflection_residual,
+                    solve, solve_lp, validate_coupling)
+from motkit.mot1d import (SNAP_FRACTION, read_coupling_json, solve_sweep,
                           write_coupling_json, write_maps_csv)
 from instances import separated_instance, six_atom_symmetric_nu, triangular_grid
 from motkit import quantize
@@ -242,21 +241,11 @@ class TestSymmetricSolve:
 
 
 class TestPreconditions:
-    def test_separation_violated_mu(self):
-        mu = DiscreteMeasure([0.0, 1.5], [0.5, 0.5])
-        with pytest.raises(SeparationError):
-            solve_sweep(mu, NU_SYM, I_UNIT)
-
-    def test_separation_violated_nu(self):
-        nu = DiscreteMeasure([-2.0, 0.5, 2.0], [0.4, 0.2, 0.4])
-        with pytest.raises(SeparationError):
-            solve_sweep(DiscreteMeasure([0.0], [1.0]), nu, I_UNIT)
-
     def test_not_in_convex_order(self):
         mu = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
         nu = DiscreteMeasure([-2.0, 2.0], [0.7, 0.3])  # mean off
         with pytest.raises(NotInConvexOrderError):
-            solve_sweep(mu, nu, I_UNIT)
+            solve(mu, nu, 1.0, method="sweep")
 
 
 class TestSeparationDetection:

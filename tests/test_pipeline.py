@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import motkit.lp
+import motkit.mot1d
+import motkit.pipeline
 from motkit import (DiscreteMeasure, InputError, NotInConvexOrderError,
-                    RadialAtoms, SeparationInterval, convex_order_check, cost,
-                    solve, solve_radial, solve_sweep)
+                    RadialAtoms, SeparationError, SolverFailureError,
+                    convex_order_check, cost, solve, solve_radial)
 from motkit.cli import main
 from motkit.lp import LpSolution
 
@@ -18,6 +20,17 @@ NU = DiscreteMeasure([-2.0, 2.0], [0.5, 0.5])
 NU_INSIDE = DiscreteMeasure([-2.0, 0.0, 2.0], [0.4, 0.2, 0.4])
 # shells r=1 and r=2 whose masses differ by 5e-9: only the mass gap fails
 SHELLS = (RadialAtoms(2, [1.0], [1.0]), RadialAtoms(2, [2.0], [1.0 + 5e-9]))
+
+
+@pytest.fixture
+def overlap_pair(tmp_path):
+    """MU and NU_INSIDE as a pair file: `solve` routes it to the LP."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "mu": {"type": "discrete", "atoms": [[-0.5, 0.5], [0.5, 0.5]]},
+        "nu": {"type": "discrete",
+               "atoms": [[-2.0, 0.4], [0.0, 0.2], [2.0, 0.4]]}}))
+    return str(path)
 
 
 class TestRoute:
@@ -51,6 +64,35 @@ class TestRoute:
         with pytest.raises(InputError, match="method"):
             solve(MU, NU, 1.0, method="simplex")
 
+    def test_forced_sweep_on_overlap_is_a_separation_error(self):
+        with pytest.raises(SeparationError, match="not separated"):
+            solve(MU, NU_INSIDE, 1.0, method="sweep")
+
+
+class TestSingleGate:
+    """The pipeline checks the remainder's convex order once; the sweep does
+    not check it again."""
+
+    @pytest.fixture
+    def order_checks(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return convex_order_check(*args, **kwargs)
+        for module in (motkit.pipeline, motkit.mot1d):
+            monkeypatch.setattr(module, "convex_order_check", counted)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda: solve(MU, NU, 1.0),
+        lambda: solve(MU, NU_INSIDE, 1.0),
+        lambda: solve_radial(SHELLS[0], RadialAtoms(2, [2.0], [1.0]), 1.0),
+    ], ids=["sweep", "lp", "radial"])
+    def test_one_order_check_per_solve(self, run, order_checks):
+        run()
+        assert len(order_checks) == 1
+
 
 class TestOrderFailure:
     def test_error_carries_report(self):
@@ -77,7 +119,7 @@ class TestOrderFailure:
     def test_sweep_message_names_the_mass_gap(self):
         nu = DiscreteMeasure([-2.0, 2.0], [0.5, 0.6])
         with pytest.raises(NotInConvexOrderError, match="mass gap"):
-            solve_sweep(MU, nu, SeparationInterval(-1.0, 1.0))
+            solve(MU, nu, 1.0, method="sweep")
 
     def test_radial_message_names_the_mass_gap(self):
         with pytest.raises(NotInConvexOrderError) as info:
@@ -95,20 +137,44 @@ class TestLpInfeasibleAfterOrderCheck:
     """An LP that reports infeasible after the order check passed is one
     outcome for both commands: exit 1."""
 
-    def test_solve_and_solve_radial_exit_one(self, tmp_path, monkeypatch):
-        pair = tmp_path / "pair.json"
-        pair.write_text(json.dumps({
-            "mu": {"type": "discrete", "atoms": [[-0.5, 0.5], [0.5, 0.5]]},
-            "nu": {"type": "discrete",
-                   "atoms": [[-2.0, 0.4], [0.0, 0.2], [2.0, 0.4]]}}))
+    def test_solve_and_solve_radial_exit_one(self, overlap_pair, tmp_path,
+                                             monkeypatch):
         radial = tmp_path / "radial.json"
         radial.write_text(json.dumps({
             "dim": 2,
             "mu": {"type": "radial-atoms", "atoms": [[1.0, 1.0]]},
             "nu": {"type": "radial-atoms",
                    "atoms": [[0.5, 2.0 / 3.0], [2.0, 1.0 / 3.0]]}}))
-        assert main(["solve", str(pair)]) == 0
+        assert main(["solve", overlap_pair]) == 0
         assert main(["solve-radial", str(radial)]) == 0
         monkeypatch.setattr(motkit.lp, "solve_lp", _infeasible)
-        assert main(["solve", str(pair)]) == 1
+        assert main(["solve", overlap_pair]) == 1
         assert main(["solve-radial", str(radial)]) == 1
+
+
+def _failed_simplex(A, b, c, feas_tol):
+    return "failure", None, 0, "phase 1 ended with maxiter"
+
+
+def _zero_optimum(A, b, c, feas_tol):
+    return "optimal", np.zeros(A.shape[1]), 0, ""
+
+
+class TestLpFailureExitsThree:
+    """The LP raises its own numerical failures; both commands exit 3 on
+    them and print nothing."""
+
+    def test_failed_simplex(self, overlap_pair, monkeypatch, capsys):
+        monkeypatch.setattr(motkit.lp, "simplex_solve", _failed_simplex)
+        with pytest.raises(SolverFailureError, match="phase 1 ended"):
+            motkit.lp.solve_lp(MU, NU_INSIDE, 1.0)
+        assert main(["solve", overlap_pair, "--method", "lp"]) == 3
+        assert main(["oracle", overlap_pair]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_missed_residual_gate(self, monkeypatch):
+        # all-zero weights leave the largest right-hand side, mu's 0.5, unmet
+        monkeypatch.setattr(motkit.lp, "simplex_solve", _zero_optimum)
+        with pytest.raises(SolverFailureError, match="feasibility residual") as info:
+            motkit.lp.solve_lp(MU, NU_INSIDE, 1.0)
+        assert info.value.residual == 0.5

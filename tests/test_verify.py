@@ -8,8 +8,9 @@ from motkit import (Coupling, DeformationInstance, DiscreteMeasure,
                     count_targets_per_side, coupling_matrix,
                     curve_is_constant, curve_is_strictly_decreasing,
                     deformation_curve, detect_forbidden, detect_separation,
-                    quantize, random_deformation_instance, solve_sweep,
+                    quantize, random_deformation_instance,
                     swap_gain, validate_coupling)
+from motkit.mot1d import solve_sweep
 from motkit.verify import DETECT_MASS_TOL, ForbiddenConfig, _flag_rows
 from instances import (plant_cross_swap, separated_instance,
                        six_atom_symmetric_nu, triangular_grid)
