@@ -14,9 +14,12 @@ values, prices the nonzeros of A, forms the entering column alone and updates
 B^-1 by a rank-1 step, so a pivot costs O(rows^2 + nnz(A)) time and memory
 (Dantzig pricing with a Bland's-rule fallback once the objective stalls);
 B^-1 is recomputed from the basic columns after every rows-many updates.
-Infeasibility of phase 1 is exactly the convex-order failure of the
-marginals. uniqueness_probe decides whether the optimum is unique with one
-more LP, over the optimal face of the base solve.
+Phase 1 starts from the north-west-corner coupling of the marginals sorted
+by first coordinate (MotLp.start), which meets every row and column sum, so
+only the barycenter rows begin on artificials. Infeasibility of phase 1 is
+exactly the convex-order failure of the marginals. uniqueness_probe decides
+whether the optimum is unique with one more LP, over the optimal face of the
+base solve.
 """
 
 from __future__ import annotations
@@ -47,28 +50,55 @@ class Nonzeros(NamedTuple):
 
 
 class _Basis:
-    """A simplex basis of [A I] v = b (rows with b < 0 negated): B^-1, the
-    basic columns and their values, over the nonzeros of [A I] grouped by
-    column.
+    """A simplex basis of [A I] v = b, some rows negated so that the basic
+    artificials are nonnegative: B^-1, the basic columns and their values,
+    over the nonzeros of [A I] grouped by column.
 
     Column j < n is column j of A; column n + k is the artificial unit
-    vector of row k. B^-1 is updated by rank-1 steps and recomputed from the
-    basic columns after every len(basis) of them, so rounding does not grow
-    with the pivot count.
+    vector of row k. Without a start every artificial is basic and the rows
+    with b < 0 are negated. A start lists len(b) basic columns; B^-1 is
+    factorized on them once and every row whose basic artificial comes out
+    negative is negated, which flips that value's sign and leaves the
+    structural values as they are. Structural values down to -tol are
+    clipped to 0; a caller offers a start whose basic solution is
+    nonnegative up to that tolerance, and a lower value raises
+    SolverFailureError. B^-1 is updated by rank-1 steps and recomputed from
+    the basic columns after every len(basis) of them, so rounding does not
+    grow with the pivot count.
     """
 
-    def __init__(self, A: Nonzeros, b: np.ndarray):
+    def __init__(self, A: Nonzeros, b: np.ndarray, start=None, tol: float = 0.0):
         m, self.n = A.shape
         self.width = self.n + m
         sign = np.where(b < 0, -1.0, 1.0)
+        self._set_signs(A, b, sign)
+        self.updates = 0
+        if start is None:
+            self.basis = np.arange(self.n, self.width)
+            self.inv = np.eye(m)
+            self.x = self.b.copy()
+            return
+        self.basis = np.array(start)
+        self.refactorize()
+        flip = (self.basis >= self.n) & (self.x < 0)
+        if flip.any():
+            rows = self.basis[flip] - self.n
+            sign[rows] = -sign[rows]
+            self._set_signs(A, b, sign)
+            self.refactorize()
+        low = float(self.x.min())
+        if low < -tol:
+            raise SolverFailureError(f"start basis has a basic value {low:.3e} < 0")
+        self.x[self.x < 0] = 0.0
+
+    def _set_signs(self, A: Nonzeros, b: np.ndarray, sign: np.ndarray):
+        """[A I] v = b with row k multiplied by sign[k] (the unit columns
+        stay as they are)."""
+        m = len(b)
         self._set_nonzeros(np.concatenate([A.row, np.arange(m)]),
                            np.concatenate([A.col, np.arange(self.n, self.width)]),
                            np.concatenate([A.val * sign[A.row], np.ones(m)]))
-        self.b = np.abs(b)
-        self.inv = np.eye(m)
-        self.basis = np.arange(self.n, self.width)
-        self.x = self.b.copy()
-        self.updates = 0
+        self.b = b * sign
 
     def _set_nonzeros(self, nz_row, nz_col, nz_val):
         self.nz_row, self.nz_col, self.nz_val = nz_row, nz_col, nz_val
@@ -108,7 +138,10 @@ class _Basis:
         for pos, q in enumerate(self.basis):
             lo, hi = self.nz_start[q], self.nz_start[q + 1]
             B[self.nz_row[lo:hi], pos] = self.nz_val[lo:hi]
-        self.inv = np.linalg.inv(B)
+        try:
+            self.inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"singular basis at refactorization: {exc}") from None
         self.x = self.inv @ self.b
         self.updates = 0
 
@@ -176,13 +209,13 @@ def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
 
 
 def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray,
-                     feas_tol: float):
+                     feas_tol: float, start=None):
     """simplex_solve, plus the reduced costs c - y @ A at the optimum
     (None unless optimal)."""
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    B = _Basis(A, b)
+    B = _Basis(A, b, start, feas_tol)
 
     maxiter = max(2000, 25 * (m + n))
     stall_limit = 10 * (m + n)
@@ -220,21 +253,43 @@ def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray,
 
 
 def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray,
-                  feas_tol: float):
+                  feas_tol: float, start=None):
     """min c@v subject to A v = b, v >= 0 (revised two-phase simplex).
 
     Only the basis inverse and the basic values are kept; each pivot prices
-    the nonzeros of A and updates B^-1 by a rank-1 step. Returns (status, v,
-    iterations, message); status is one of optimal / infeasible / failure.
-    Redundant equality rows are dropped after phase 1. On an optimal solve
-    the message says whether Bland's rule was switched on.
+    the nonzeros of A and updates B^-1 by a rank-1 step. Phase 1 starts from
+    `start`, len(b) columns of [A I] (column n + k is row k's artificial)
+    whose basic solution is nonnegative up to feas_tol, or else from the
+    all-artificial basis. Returns (status, v, iterations, message); status
+    is one of optimal / infeasible / failure. Redundant equality rows are
+    dropped after phase 1. On an optimal solve the message says whether
+    Bland's rule was switched on. A singular basis raises
+    SolverFailureError.
     """
-    return _revised_simplex(A, b, c, feas_tol)[:4]
+    return _revised_simplex(A, b, c, feas_tol, start)[:4]
 
 
 @dataclass(frozen=True)
 class MotLp:
-    """Assembled LP data for a martingale transport instance."""
+    """Assembled LP data for a martingale transport instance.
+
+    `start` is a phase-1 basis for simplex_solve built from the marginals:
+    the north-west-corner coupling of mu against nu, both sorted by first
+    coordinate (stably), which in 1-D is the quantile coupling. It is walked
+    as a staircase of m + n - 1 cells, each step advancing exactly one of
+    i and j (the one whose cumulative mass ends first, i on ties; the other
+    once one is at its end). Zero cells are kept, so the cells always form
+    a spanning tree of the m + n transport rows. An artificial on the
+    walk's last vertex, the transport row the cells leave unbalanced, and
+    one on each of the d*m barycenter rows complete the basis, which is
+    block triangular [[T, 0], [Y, I]] with T nonsingular. The same start
+    serves both senses. It is None when the total masses differ by more
+    than the feasibility tolerance: such pairs are infeasible, and phase 1
+    from the artificials certifies that. Without this rule a cell of the
+    tree goes negative by up to the mass difference (down to -3.9 on spread
+    pairs whose nu masses were scaled by 0.5 to 5); with it, by at most the
+    feasibility tolerance, which _Basis clips.
+    """
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
@@ -243,6 +298,7 @@ class MotLp:
     A: Nonzeros = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
+    start: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         mu, nu = self.mu, self.nu
@@ -274,6 +330,28 @@ class MotLp:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "C", C)
+        object.__setattr__(self, "start", self._start() if abs(
+            mu.total_mass() - nu.total_mass()) <= _feas_tol(self) else None)
+
+    def _start(self) -> np.ndarray:
+        mu, nu = self.mu, self.nu
+        m, n, d = len(mu), len(nu), mu.dim
+        oi = np.argsort(mu.positions.reshape(m, d)[:, 0], kind="stable")
+        oj = np.argsort(nu.positions.reshape(n, d)[:, 0], kind="stable")
+        # a step advances i when mu's cumulative mass ends first; the last
+        # atom of each side ends no step
+        ends = np.concatenate([np.cumsum(mu.masses[oi])[:-1],
+                               np.cumsum(nu.masses[oj])[:-1]])
+        advances_j = np.repeat([0, 1], [m - 1, n - 1])
+        steps = advances_j[np.lexsort((advances_j, ends))]
+        j = np.concatenate([[0], np.cumsum(steps)])
+        i = np.arange(m + n - 1) - j
+        cells = oi[i] * n + oj[j]
+        last = oi[m - 1] if len(steps) and steps[-1] == 0 else m + oj[n - 1]
+        rows = m * n + np.concatenate([[last], np.arange(m + n, m + n + d * m)])
+        start = np.concatenate([cells, rows])
+        start.setflags(write=False)
+        return start
 
     def objective_vector(self) -> np.ndarray:
         c = self.C.ravel()
@@ -338,8 +416,8 @@ def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     a failed simplex or a missed residual gate raises SolverFailureError.
     """
     prob = MotLp(mu, nu, p, sense)
-    return _solution(prob, *simplex_solve(prob.A, prob.b,
-                                          prob.objective_vector(), _feas_tol(prob)))
+    return _solution(prob, *simplex_solve(prob.A, prob.b, prob.objective_vector(),
+                                          _feas_tol(prob), prob.start))
 
 
 def diagonal_mass(sol: LpSolution) -> float:
@@ -371,8 +449,8 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool
     """
     prob = MotLp(mu, nu, p)
     feas_tol = _feas_tol(prob)
-    *result, reduced = _revised_simplex(prob.A, prob.b,
-                                        prob.objective_vector(), feas_tol)
+    *result, reduced = _revised_simplex(prob.A, prob.b, prob.objective_vector(),
+                                        feas_tol, prob.start)
     base = _solution(prob, *result)
     if base.status != "optimal":
         raise SolverFailureError(f"probe requires an optimal base solve, got {base.status}")

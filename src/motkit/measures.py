@@ -238,13 +238,19 @@ class GridDensity:
 
 @dataclass(frozen=True)
 class OrderReport:
-    """Outcome of a convex-order check between two 1-D measures."""
+    """Outcome of a convex-order check between two 1-D measures.
+
+    The call-function gap often ties at its minimum up to rounding: on a
+    separated pair it is exactly 0 at and beyond both ends of the support.
+    So worst_k is the leftmost strike whose gap is within the check's tol of
+    the minimum, and worst_gap is the minimum itself.
+    """
 
     in_order: bool
     mass_gap: float      # nu total mass - mu total mass
     mean_gap: float      # nu first moment - mu first moment
-    worst_k: float       # k minimizing the call-function gap
-    worst_gap: float     # that minimal gap (negative = dominance violated)
+    worst_k: float       # leftmost k whose gap is within tol of worst_gap
+    worst_gap: float     # minimal call-function gap (negative = dominance violated)
 
     def to_dict(self) -> dict:
         return {
@@ -311,11 +317,11 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
                                           -mu.masses * (mu.positions - c)]))
                 + c * math.fsum(np.concatenate([nu.masses, -mu.masses])))
     gaps = call_function(nu, ks) - call_function(mu, ks)
-    worst = int(np.argmin(gaps))
+    worst_gap = float(gaps.min())
+    worst = int(np.argmax(gaps <= worst_gap + tol))
     in_order = (abs(mass_gap) <= tol and abs(mean_gap) <= tol
-                and gaps[worst] >= -tol)
-    return OrderReport(bool(in_order), mass_gap, mean_gap,
-                       float(ks[worst]), float(gaps[worst]))
+                and worst_gap >= -tol)
+    return OrderReport(bool(in_order), mass_gap, mean_gap, float(ks[worst]), worst_gap)
 
 
 def common_mass_split(mu: DiscreteMeasure, nu: DiscreteMeasure):

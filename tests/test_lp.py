@@ -8,7 +8,8 @@ from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
                     common_mass_split, cost, detect_separation, diagonal_mass,
                     solve_lp, solve_radial, uniqueness_probe,
                     validate_coupling)
-from motkit.lp import RESIDUAL_RTOL, Nonzeros, simplex_solve
+from motkit.lp import (RESIDUAL_RTOL, Nonzeros, _Basis, _feas_tol,
+                       simplex_solve)
 from motkit.mot1d import solve_sweep
 from instances import (overlapping_instance, ring_directions, ring_instance,
                        rotation_2d, separated_instance, shell_atoms,
@@ -156,6 +157,120 @@ class TestRevisedSimplex:
             assert sol.residuals["feasibility"] <= 2e-15
 
 
+def _balanced_pairs():
+    """Balanced pairs for the start: ties in first coordinate within and
+    across the marginals, ties of cumulative mass, one-atom marginals and
+    exact-zero coordinates, in d = 1, 2 and 3."""
+    rng = np.random.default_rng(61)
+    x3 = rng.uniform(-1.0, 1.0, (4, 3))
+    x3[1, 0] = x3[0, 0]
+    x3[2, 1] = 0.0
+    y3 = np.concatenate([x3 - 0.5, x3 + 0.5])
+    y3[3, 2] = 0.0
+    return {
+        "d1-ties": (DiscreteMeasure([-0.5, 0.5], [0.5, 0.5]),
+                    DiscreteMeasure([-1.0, -0.5, 0.5, 1.0], [0.25] * 4)),
+        "d1-spread": spread_pair_instance(np.random.default_rng(67), 6),
+        "m1": (DiscreteMeasure([0.0], [1.0]),
+               DiscreteMeasure([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])),
+        "n1": (DiscreteMeasure([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]),
+               DiscreteMeasure([0.0], [1.0])),
+        "m1n1": (DiscreteMeasure([0.0], [1.0]), DiscreteMeasure([0.0], [1.0])),
+        "d2-ties": (DiscreteMeasure([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+                                    [0.25, 0.25, 0.5], dim=2),
+                    DiscreteMeasure([[-1.0, 0.0], [0.0, 2.0], [0.0, -1.0], [2.0, 0.0]],
+                                    [0.25, 0.25, 0.25, 0.25], dim=2)),
+        "d3": (DiscreteMeasure(x3, np.full(4, 0.25), dim=3),
+               DiscreteMeasure(y3, np.full(8, 0.125), dim=3)),
+    }
+
+
+class TestStart:
+    @pytest.mark.parametrize("name", list(_balanced_pairs()))
+    def test_start_basis_nonsingular_and_nonnegative(self, name):
+        mu, nu = _balanced_pairs()[name]
+        prob = MotLp(mu, nu, 1.0)
+        m, n, d = len(mu), len(nu), mu.dim
+        start = prob.start
+        assert start is not None and len(start) == len(prob.b)
+        cells = start[start < m * n]
+        assert len(cells) == m + n - 1 and len(set(cells.tolist())) == m + n - 1
+        # one transport artificial, then every barycenter row's
+        assert start[m + n - 1] - m * n < m + n
+        assert np.array_equal(start[m + n:] - m * n, np.arange(m + n, m + n + d * m))
+        full = np.hstack([scipy_matrix(prob.A).toarray(), np.eye(len(prob.b))])
+        x = np.linalg.solve(full[:, start], prob.b)
+        assert np.linalg.cond(full[:, start]) < 1e8
+        assert x[:m + n - 1].min() >= -1e-15           # the coupling cells
+        assert abs(x[m + n - 1]) <= 1e-15              # balanced transport rows
+        B = _Basis(prob.A, prob.b, start, _feas_tol(prob))
+        assert B.x.min() >= 0.0
+        assert np.abs(B.x - np.abs(x)).max() <= 1e-15
+
+    def test_start_is_the_quantile_coupling_in_1d(self):
+        mu, nu = _balanced_pairs()["d1-spread"]
+        prob = MotLp(mu, nu, 1.0)
+        m, n = len(mu), len(nu)
+        B = _Basis(prob.A, prob.b, prob.start, _feas_tol(prob))
+        v = np.zeros(m * n + len(prob.b))
+        v[B.basis] = B.x
+        quantile = np.zeros((m, n))
+        i = j = 0
+        left_mu, left_nu = mu.masses[0], nu.masses[0]
+        while i < m and j < n:
+            w = min(left_mu, left_nu)
+            quantile[i, j] = w
+            left_mu, left_nu = left_mu - w, left_nu - w
+            if left_mu <= left_nu and i + 1 < m:
+                i += 1
+                left_mu = mu.masses[i]
+            else:
+                j += 1
+                left_nu = nu.masses[j] if j < n else 0.0
+        assert np.abs(v[:m * n].reshape(m, n) - quantile).max() <= 1e-15
+
+    def test_unbalanced_totals_have_no_start(self):
+        mu, nu = _balanced_pairs()["d1-spread"]
+        heavy = DiscreteMeasure(nu.positions, nu.masses * 1.001)
+        assert MotLp(mu, heavy, 1.0).start is None
+        near = DiscreteMeasure(nu.positions, nu.masses + 1e-13)
+        assert MotLp(mu, near, 1.0).start is not None
+
+    @pytest.mark.parametrize("kind", ["min", "max", "swapped", "mismatched",
+                                      "near-balanced"])
+    def test_solve_lp_matches_highs(self, kind):
+        for seed in range(3):
+            mu, nu = spread_pair_instance(np.random.default_rng([71, seed]), 12)
+            sense = "max" if kind == "max" else "min"
+            if kind == "swapped":
+                mu, nu = nu, mu
+            elif kind == "mismatched":
+                nu = DiscreteMeasure(nu.positions, nu.masses * 1.01)
+            elif kind == "near-balanced":
+                nu = DiscreteMeasure(nu.positions, nu.masses * (1.0 + 1e-12))
+            prob = MotLp(mu, nu, 1.0, sense)
+            ref = linprog(prob.objective_vector(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
+                          bounds=(0, None), method="highs")
+            sol = solve_lp(mu, nu, 1.0, sense)
+            if kind in ("swapped", "mismatched"):
+                assert sol.status == "infeasible" and ref.status == 2
+            else:
+                assert sol.status == "optimal" and ref.status == 0
+                sign = -1.0 if sense == "max" else 1.0
+                assert sol.objective == pytest.approx(sign * ref.fun, abs=1e-8)
+
+    def test_start_needs_fewer_pivots_40x80(self):
+        for seed in range(2):
+            mu, nu = spread_pair_instance(np.random.default_rng([73, seed]), 40)
+            for src, tgt in ((mu, nu), (nu, mu)):
+                prob = MotLp(src, tgt, 1.0)
+                args = (prob.A, prob.b, prob.objective_vector(), _feas_tol(prob))
+                plain = simplex_solve(*args)
+                started = simplex_solve(*args, prob.start)
+                assert started[0] == plain[0]
+                assert started[2] < plain[2]
+
+
 class TestStayPut:
     def test_common_mass_on_diagonal(self):
         rng = np.random.default_rng(61)
@@ -226,11 +341,13 @@ class TestUniquenessProbe:
         nu = DiscreteMeasure([-5.0, -1.0, 1.0, 3.0], [0.25, 0.375, 0.25, 0.125])
         sol = solve_lp(mu, nu, 1.0)
         base = np.array([[0.125, 0.375, 0.0, 0.0], [0.125, 0.0, 0.25, 0.125]])
-        assert np.abs(sol.matrix - base).max() <= 1e-12
         # moving t * (1, -2, 0, 1) from row x = 0 to row x = -2 keeps both
         # marginals and both barycenters, and changes the cost by
-        # t * ((3^p - 5^p) + (5^p - 3^p)) = 0, for 0 <= t <= 0.125
+        # t * ((3^p - 5^p) + (5^p - 3^p)) = 0, for 0 <= t <= 0.125; the
+        # simplex returns a vertex, one of the segment's two endpoints
         delta = np.array([[1.0, -2.0, 0.0, 1.0], [-1.0, 2.0, 0.0, -1.0]])
+        assert min(np.abs(sol.matrix - (base + t * delta)).max()
+                   for t in (0.0, 0.125)) <= 1e-12
         for t in (0.05, 0.125):
             other = base + t * delta
             assert other.min() >= 0.0

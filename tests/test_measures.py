@@ -76,6 +76,17 @@ class TestConvexOrder:
         assert abs(rep.worst_k) < 1e-12
         assert rep.worst_gap < -0.4
 
+    def test_tied_minimum_reports_leftmost_strike(self):
+        # the exact gap is 0 at both nu atoms; evaluated, it is 2.2e-16 at
+        # -0.6 and 0.0 at 0.8, and the leftmost strike within tol is reported
+        mu = DiscreteMeasure([0.2], [1.0])
+        nu = DiscreteMeasure([-0.6, 0.8], [0.6 / 1.4, 0.8 / 1.4])
+        rep = convex_order_check(mu, nu)
+        assert rep.in_order
+        assert rep.worst_k == -0.6
+        assert rep.worst_gap == 0.0
+        assert convex_order_check(mu, nu, tol=0.0).worst_k == 0.8
+
     def test_reflexive_at_zero_tol(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -152,11 +152,11 @@ class TestLpInfeasibleAfterOrderCheck:
         assert main(["solve-radial", str(radial)]) == 1
 
 
-def _failed_simplex(A, b, c, feas_tol):
+def _failed_simplex(A, b, c, feas_tol, start=None):
     return "failure", None, 0, "phase 1 ended with maxiter"
 
 
-def _zero_optimum(A, b, c, feas_tol):
+def _zero_optimum(A, b, c, feas_tol, start=None):
     return "optimal", np.zeros(A.shape[1]), 0, ""
 
 
@@ -167,6 +167,23 @@ class TestLpFailureExitsThree:
     def test_failed_simplex(self, overlap_pair, monkeypatch, capsys):
         monkeypatch.setattr(motkit.lp, "simplex_solve", _failed_simplex)
         with pytest.raises(SolverFailureError, match="phase 1 ended"):
+            motkit.lp.solve_lp(MU, NU_INSIDE, 1.0)
+        assert main(["solve", overlap_pair, "--method", "lp"]) == 3
+        assert main(["oracle", overlap_pair]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_singular_basis(self, overlap_pair, monkeypatch, capsys):
+        # a start with one column twice: np.linalg.inv raises LinAlgError,
+        # which leaves the LP as a SolverFailureError
+        start = motkit.lp.MotLp._start
+
+        def singular(prob):
+            cols = start(prob).copy()
+            cols[1] = cols[0]
+            return cols
+
+        monkeypatch.setattr(motkit.lp.MotLp, "_start", singular)
+        with pytest.raises(SolverFailureError, match="singular basis"):
             motkit.lp.solve_lp(MU, NU_INSIDE, 1.0)
         assert main(["solve", overlap_pair, "--method", "lp"]) == 3
         assert main(["oracle", overlap_pair]) == 3
