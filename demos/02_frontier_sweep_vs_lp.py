@@ -36,7 +36,7 @@ sol = solve(mu, nu, 1.0, method="sweep")
 pi, maps = sol.coupling(), sol.maps
 print("frontier maps (x -> deepest target per side, consumed fraction):")
 print(f"{'x':>8} {'S(x)':>8} {'T(x)':>8} {'lam-':>6} {'lam+':>6}")
-for x, s, t, lm, lp_ in maps.as_rows():
+for x, s, t, lm, lp_ in zip(*maps.columns()):
     print(f"{x:8.3f} {s:8.3f} {t:8.3f} {lm:6.3f} {lp_:6.3f}")
 print("maps nonincreasing:", check_decreasing(maps))
 print("forbidden configurations:", detect_forbidden(pi), "\n")

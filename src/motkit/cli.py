@@ -18,7 +18,7 @@ from .errors import (InputError, MotkitError, NotInConvexOrderError,
 from . import lp as lp_mod
 from .measures import as_discrete, convex_order_check, load_marginal_pair
 from .mot1d import (check_exponent, cost, read_coupling_json,
-                    write_coupling_json, write_maps_csv)
+                    write_coupling_json, write_induced_csv, write_maps_csv)
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import common_mass_split, detect_separation, solve, solve_sweep  # noqa: F401
 from .radial import load_radial_pair, sample_lifted, solve_radial
@@ -77,13 +77,7 @@ def cmd_solve_radial(args) -> int:
         write_coupling_json(args.out, lifted.base, c1, lifted.maps,
                             extra={"dim": dim, "cost_ddim": cd})
     if args.induced_csv:
-        with open(args.induced_csv, "w") as fh:
-            fh.write("marginal,position,mass\n")
-            src = lifted.base.source_marginal()
-            tgt = lifted.base.target_marginal()
-            for name, m in (("mu", src), ("nu", tgt)):
-                for x, w in zip(m.positions, m.masses):
-                    fh.write(f"{name},{float(x)!r},{float(w)!r}\n")
+        write_induced_csv(args.induced_csv, lifted.base)
     print(f"cost_1d={c1!r} cost_ddim={cd!r}")
     if args.samples:
         x, y = sample_lifted(lifted, args.samples, args.seed)

@@ -169,7 +169,9 @@ def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
 
     Entering candidates are the len(cost) first columns. Dantzig pricing
     switches permanently to Bland's rule after stall_limit iterations
-    without objective progress.
+    without objective progress. Among rows tied at the minimum ratio, the
+    one with the largest pivot element leaves, or under Bland's rule the
+    one with the lowest basic index.
     """
     bland = False
     stall = 0
@@ -195,7 +197,9 @@ def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
         best_ratio = ratios.min()
         thresh = best_ratio + 1e-12 * max(1.0, abs(best_ratio))
         ties = np.nonzero(ratios <= thresh)[0]
-        row = int(ties[np.argmin(B.basis[ties])])
+        # Bland's rule needs the lowest basic index; otherwise the largest
+        # pivot element keeps degenerate steps off near-zero pivots
+        row = int(ties[np.argmin(B.basis[ties])] if bland else ties[np.argmax(u[ties])])
         B.pivot(row, col, u)
         cur = float(cost[B.basis] @ B.x)
         if cur < best - 1e-12 * max(1.0, abs(best)):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,9 +171,14 @@ class TransportMaps:
     def __len__(self) -> int:
         return len(self.xs)
 
-    def as_rows(self):
-        return [tuple(map(float, r)) for r in
-                zip(self.xs, self.lower, self.upper, self.lower_frac, self.upper_frac)]
+    def columns(self):
+        return self.xs, self.lower, self.upper, self.lower_frac, self.upper_frac
+
+    @cached_property
+    def texts(self):
+        """`float_texts` of the five columns, shared by the JSON and CSV
+        writers (`write_coupling_json` may set it first)."""
+        return float_texts(*self.columns())
 
 
 def _frontiers(nu: DiscreteMeasure, interval: SeparationInterval, c: float):
@@ -269,6 +275,14 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
     preconditions: 1-D, mu nonempty and inside the open interval, no nu atom
     in it, mu <= nu in convex order at `tol`. Raises only SolverFailureError
     (a row not covered, a row barycenter off its gate, or nu left over).
+
+    Rounding is absolute, not relative to a row: a row's entries are
+    differences of prefix consumptions, which are as large as the total
+    mass T, so every entry carries an error of a few ulps of T whatever
+    the row's mass. Entries and row sums stay within 32 * eps * T of the
+    row walk (8 * eps * T measured on a d = 3 ball against shells at 3000
+    cells), and a row of mass m_i is exact only to about 32 * eps * T / m_i
+    relative (3e-7 on that pair's lightest cell, 9e-10 of T = 3).
     """
     snap = SNAP_FRACTION * max(1.0, nu.total_mass())
     # moments about the interval's centre, so that a large common offset of
@@ -386,15 +400,31 @@ def coupling_matrix(pi: Coupling, mu: DiscreteMeasure,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: coupling JSON and transport-map CSV
+# Serialization: coupling JSON, transport-map CSV and induced-marginal CSV
 # ---------------------------------------------------------------------------
 
-def coupling_to_dict(pi: Coupling, cost_value=None, maps: TransportMaps | None = None):
-    doc = {"entries": [[float(x), float(y), float(w)] for x, y, w in
-                       zip(pi.xs, pi.ys, pi.masses)]}
-    doc["cost"] = None if cost_value is None else float(cost_value)
-    doc["maps"] = None if maps is None else maps.as_rows()
-    return doc
+def float_texts(*columns) -> list:
+    """`float.__repr__` of every value of the given float columns, as one
+    list of texts per column. Each distinct float64 bit pattern is formatted
+    once, so a value repeated across rows and columns costs one repr while
+    -0.0 and 0.0 keep their own texts."""
+    values = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
+    keys, inverse = np.unique(np.concatenate(values).view(np.int64),
+                              return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    flat = texts[inverse.reshape(-1)].tolist()
+    ends = np.cumsum([len(v) for v in values]).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _json_rows(fh, columns):
+    """Write the rows of the text columns as json.dumps writes a list of
+    lists of floats."""
+    rows = map(", ".join, zip(*columns))
+    first = next(rows, None)
+    fh.write("[" if first is None else f"[[{first}]")
+    fh.writelines(f", [{row}]" for row in rows)
+    fh.write("]")
 
 
 def coupling_from_dict(doc: dict):
@@ -414,11 +444,31 @@ def coupling_from_dict(doc: dict):
 
 def write_coupling_json(path, pi: Coupling, cost_value=None,
                         maps: TransportMaps | None = None, extra: dict | None = None):
-    doc = coupling_to_dict(pi, cost_value, maps)
-    if extra:
-        doc.update(extra)
+    """Write {"cost", "entries", "maps"} and the `extra` keys with the bytes
+    of json.dumps(doc, sort_keys=True) and a newline. cost and `extra` go
+    through json.dumps; the entries [x, y, w] and the map rows are streamed
+    from `float_texts`."""
+    if pi.dim != 1:
+        raise InputError("coupling JSON holds 1-D couplings")
+    doc = {"cost": None if cost_value is None else float(cost_value), **(extra or {})}
+    # the maps repeat the entries' positions, so one call formats both
+    # unless the maps' texts exist already; the CSV writer reuses them
+    share = maps is not None and "texts" not in vars(maps)
+    texts = float_texts(pi.xs, pi.ys, pi.masses, *(maps.columns() if share else ()))
+    if share:
+        vars(maps)["texts"] = texts[3:]
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        for i, key in enumerate(sorted({*doc, "entries", "maps"})):
+            fh.write(f"{', ' if i else '{'}{json.dumps(key)}: ")
+            if key in doc:
+                fh.write(json.dumps(doc[key], sort_keys=True))
+            elif key == "entries":
+                _json_rows(fh, texts[:3])
+            elif maps is None:
+                fh.write("null")
+            else:
+                _json_rows(fh, maps.texts)
+        fh.write("}\n")
 
 
 def read_coupling_json(path):
@@ -433,5 +483,14 @@ def read_coupling_json(path):
 def write_maps_csv(path, maps: TransportMaps):
     with open(path, "w") as fh:
         fh.write("x,S,T,lambda_minus,lambda_plus\n")
-        for row in maps.as_rows():
-            fh.write(",".join(repr(v) for v in row) + "\n")
+        fh.writelines(f"{row}\n" for row in map(",".join, zip(*maps.texts)))
+
+
+def write_induced_csv(path, pi: Coupling):
+    """The source and target marginals of a 1-D coupling, one atom a line."""
+    src, tgt = pi.source_marginal(), pi.target_marginal()
+    x, w, y, v = float_texts(src.positions, src.masses, tgt.positions, tgt.masses)
+    with open(path, "w") as fh:
+        fh.write("marginal,position,mass\n")
+        fh.writelines(f"mu,{a},{b}\n" for a, b in zip(x, w))
+        fh.writelines(f"nu,{a},{b}\n" for a, b in zip(y, v))

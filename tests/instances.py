@@ -197,3 +197,18 @@ def spread_pair_instance(rng, m):
     return (DiscreteMeasure(x, w),
             DiscreteMeasure(np.concatenate([x - u, x + v]),
                             np.concatenate([w * t, w * (1 - t)])))
+
+
+def split_grid_instance(seed, eighths=False):
+    """d=3 pair on a 0.5 grid, degenerate on purpose: 9 mu atoms in
+    [-2, 2]^3, each split evenly to x +- a along a grid direction a != 0.
+    Masses are 1/8 each, or random multiples of 1/8 with `eighths`; the
+    totals are exact, so many ratio tests tie."""
+    rng = np.random.default_rng([911, seed])
+    x = rng.integers(-4, 5, (9, 3)) * 0.5
+    a = rng.integers(-4, 5, (9, 3)) * 0.5
+    a[(a == 0).all(axis=1)] = (0.5, 0.0, 0.0)
+    w = rng.integers(1, 9, 9) / 8 if eighths else np.full(9, 0.125)
+    mu = DiscreteMeasure(x, w, dim=3)
+    nu = DiscreteMeasure(np.concatenate([x + a, x - a]), np.concatenate([w, w]) / 2, dim=3)
+    return mu, nu

@@ -13,7 +13,7 @@ from motkit.lp import (RESIDUAL_RTOL, Nonzeros, _Basis, _feas_tol,
 from motkit.mot1d import solve_sweep
 from instances import (overlapping_instance, ring_directions, ring_instance,
                        rotation_2d, separated_instance, shell_atoms,
-                       spread_pair_instance)
+                       split_grid_instance, spread_pair_instance)
 
 
 def scipy_matrix(A: Nonzeros):
@@ -133,19 +133,35 @@ class TestRevisedSimplex:
         assert np.allclose(v, [1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
 
     def test_bland_fallback_on_cycling_instance(self):
-        # Chvatal's example (Linear Programming, 1983, ch. 3): Dantzig
-        # pricing with the lowest-index leaving rule cycles through six
-        # degenerate bases of phase 2 and never reaches the optimum -1
+        # Chvatal's example (Linear Programming, 1983, ch. 3): from the
+        # slack basis, Dantzig pricing cycles through six degenerate bases of
+        # phase 2 and never reaches the optimum -1, whether the lowest basic
+        # index or the largest pivot element breaks the ratio test's ties
         A = np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
                       [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
                       [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         b = np.array([0.0, 0.0, 1.0])
         c = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
-        status, v, _, msg = simplex_solve(nonzeros(A), b, c, 1e-8)
+        status, v, _, msg = simplex_solve(nonzeros(A), b, c, 1e-8, start=[4, 5, 6])
         assert status == "optimal"
         assert msg == "Bland's rule switched on in phase 2"
         assert np.abs(A @ v - b).max() <= 1e-12 and v.min() >= 0.0
         assert c @ v == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eighths,seed", [
+        *((False, s) for s in (22, 81, 220, 314, 466, 502, 599)),
+        *((True, s) for s in (176, 200, 228, 273, 560, 575))])
+    def test_degenerate_ties_take_the_largest_pivot(self, eighths, seed):
+        # with the lowest basic index among tied rows, 10 of these solves
+        # reach a singular basis at a refactorization and 3 run to the
+        # iteration limit under Bland's rule
+        mu, nu = split_grid_instance(seed, eighths)
+        prob = MotLp(mu, nu, 1.0, "max")
+        ref = linprog(prob.objective_vector(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
+                      bounds=(0, None), method="highs")
+        sol = solve_lp(mu, nu, 1.0, "max")
+        assert sol.status == "optimal" and ref.status == 0
+        assert sol.objective == pytest.approx(-ref.fun, rel=1e-9)
 
     def test_refactorized_residuals_40x80(self):
         # rounding must not grow with the pivot count: B^-1 is recomputed

@@ -13,7 +13,7 @@ from motkit import (Coupling, DiscreteMeasure, InputError,
 from motkit.mot1d import (SNAP_FRACTION, read_coupling_json, solve_sweep,
                           write_coupling_json, write_maps_csv)
 from instances import separated_instance, six_atom_symmetric_nu, triangular_grid
-from motkit import quantize
+from motkit import RadialAtoms, RadialProfile, induce_1d, induced_atoms, quantize
 from row_walk import row_walk_sweep
 
 I_UNIT = SeparationInterval(-1.0, 1.0)
@@ -389,6 +389,28 @@ class TestCumulativeSweepProperty:
             clear = np.abs(ref[:, None] - kinks[None, :]).min(axis=1) > tol
             assert np.array_equal(getattr(maps, side)[clear],
                                   getattr(maps_ref, side)[clear] + shift)
+
+    def test_light_rows_carry_absolute_rounding(self):
+        # d = 3 ball against shells: the cells next to the origin weigh 1e-9
+        # of the total; each entry and row sum agrees with the row walk's to
+        # a few ulps of the total mass, not of its row
+        mu = quantize(induce_1d(RadialProfile(3, np.linspace(0.0, 1.0, 11),
+                                              np.linspace(1.5, 0.5, 10)), 3000))
+        nu = induced_atoms(RadialAtoms(3, [1.3, 1.7, 2.2, 2.9],
+                                       np.array([0.3, 0.2, 0.3, 0.2]) * mu.total_mass()))
+        interval = detect_separation(mu, nu)
+        pi, _ = solve_sweep(mu, nu, interval)
+        ref, _ = row_walk_sweep(mu, nu, interval)
+        bound = 32 * np.finfo(float).eps * mu.total_mass()
+        assert mu.masses.min() < 1e-9 * mu.total_mass()
+        pairs = {}
+        for x, y, w in ref.entries():
+            pairs[x, y] = pairs.get((x, y), 0.0) - w
+        for x, y, w in pi.entries():
+            pairs[x, y] = pairs.get((x, y), 0.0) + w
+        assert max(map(abs, pairs.values())) <= bound
+        rows = np.bincount(np.searchsorted(mu.positions, pi.xs), pi.masses, len(mu))
+        assert np.abs(rows - mu.masses).max() <= bound
 
     def test_memory_linear_in_cells(self):
         mu = quantize(triangular_grid(100_000))

@@ -1,0 +1,172 @@
+"""The streamed writers of `motkit.mot1d` against the writers they replaced.
+
+The oracles below are the coupling JSON, maps CSV and induced CSV writers as
+they were before each distinct float was formatted once: a dict of Python
+floats through json.dumps(sort_keys=True), and one repr per value and row.
+Copied apart from the names, with the deleted `TransportMaps.as_rows`
+written out as the rows of `columns()`. Every file the new writers produce
+must equal the oracle's bytes.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motkit import Coupling, InputError, TransportMaps
+from motkit.cli import main
+from motkit.mot1d import (float_texts, write_coupling_json, write_induced_csv,
+                          write_maps_csv)
+from motkit.radial import load_radial_pair, solve_radial
+
+
+def oracle_coupling_json(path, pi, cost_value=None, maps=None, extra=None):
+    doc = {"entries": [[float(x), float(y), float(w)] for x, y, w in
+                       zip(pi.xs, pi.ys, pi.masses)]}
+    doc["cost"] = None if cost_value is None else float(cost_value)
+    doc["maps"] = None if maps is None else [
+        tuple(map(float, r)) for r in zip(*maps.columns())]
+    if extra:
+        doc.update(extra)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def oracle_maps_csv(path, maps):
+    with open(path, "w") as fh:
+        fh.write("x,S,T,lambda_minus,lambda_plus\n")
+        for row in zip(*maps.columns()):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def oracle_induced_csv(path, pi):
+    with open(path, "w") as fh:
+        fh.write("marginal,position,mass\n")
+        src = pi.source_marginal()
+        tgt = pi.target_marginal()
+        for name, m in (("mu", src), ("nu", tgt)):
+            for x, w in zip(m.positions, m.masses):
+                fh.write(f"{name},{float(x)!r},{float(w)!r}\n")
+
+
+# values next to repr's switches: 1e16 and 1e-4 change between positional
+# and exponent notation, 5e-324 is the smallest subnormal, and -0.0 must keep
+# its sign next to 0.0
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+         1e-4, 9.999999999999999e-05, 0.00010000000000000002, -1e16, -1e-4,
+         0.1, 1 / 3, 1e300, 1.7976931348623157e308, 2.5]
+POSITIVE_EDGES = [v for v in EDGES if v > 0]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def value_pools(draw, positive=False):
+    """A short pool of values, edges and arbitrary floats; columns draw from
+    it by index, so repeats across rows and columns are common."""
+    edges = POSITIVE_EDGES if positive else EDGES
+    floats = finite.filter(lambda v: v > 0) if positive else finite
+    return draw(st.lists(st.one_of(st.sampled_from(edges), floats),
+                         min_size=1, max_size=6))
+
+
+def column(draw, pool, n):
+    return np.array([pool[i] for i in draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=n, max_size=n))], dtype=float)
+
+
+@st.composite
+def documents(draw):
+    pos, mass = draw(value_pools()), draw(value_pools(positive=True))
+    n = draw(st.integers(0, 12))
+    pi = Coupling(column(draw, pos, n), column(draw, pos, n), column(draw, mass, n))
+    maps = None
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 6))
+        maps = TransportMaps(*(column(draw, pos, k) for _ in range(5)))
+    cost_value = draw(st.one_of(st.none(), st.sampled_from(pos)))
+    extra = None
+    if draw(st.booleans()):
+        extra = {"dim": draw(st.integers(1, 5)), "cost_ddim": draw(st.sampled_from(pos))}
+    return pi, cost_value, maps, extra
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(documents())
+    def test_bytes_equal(self, tmp_path_factory, doc):
+        pi, cost_value, maps, extra = doc
+        tmp = tmp_path_factory.mktemp("w")
+        write_coupling_json(tmp / "new.json", pi, cost_value, maps, extra)
+        oracle_coupling_json(tmp / "old.json", pi, cost_value, maps, extra)
+        assert (tmp / "new.json").read_bytes() == (tmp / "old.json").read_bytes()
+        if maps is not None:
+            write_maps_csv(tmp / "new.csv", maps)
+            oracle_maps_csv(tmp / "old.csv", maps)
+            assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+        # the marginals merge atoms by mass-weighted means, which overflow
+        # near the float range's end; the induced CSV holds cells of a radius
+        # grid, so its entries stay within 1e17
+        small = np.maximum(np.maximum(np.abs(pi.xs), np.abs(pi.ys)), pi.masses) <= 1e17
+        if small.any():
+            pi = Coupling(pi.xs[small], pi.ys[small], pi.masses[small])
+            write_induced_csv(tmp / "new_ind.csv", pi)
+            oracle_induced_csv(tmp / "old_ind.csv", pi)
+            assert (tmp / "new_ind.csv").read_bytes() == (tmp / "old_ind.csv").read_bytes()
+
+    def test_solve_radial_files(self, tmp_path):
+        """The files of one solve-radial call, extra keys and induced CSV
+        included, against the oracles on the same lifted coupling."""
+        doc = {"dim": 3,
+               "mu": {"type": "radial-grid", "r": list(np.linspace(0.0, 1.0, 21)),
+                      "f": [0.75 / np.pi] * 20},
+               "nu": {"type": "radial-atoms", "atoms": [[2.0, 1.0]]}}
+        spec = tmp_path / "radial.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["solve-radial", str(spec), "--n", "60", "--out",
+                     str(tmp_path / "new.json"), "--induced-csv",
+                     str(tmp_path / "new.csv")]) == 0
+        dim, mu, nu = load_radial_pair(str(spec))
+        lifted, c1 = solve_radial(mu, nu, 1.0, n=60)
+        oracle_coupling_json(tmp_path / "old.json", lifted.base, c1, lifted.maps,
+                             extra={"dim": dim, "cost_ddim": lifted.cost_ddim(1.0)})
+        oracle_induced_csv(tmp_path / "old.csv", lifted.base)
+        for name in ("json", "csv"):
+            assert ((tmp_path / f"new.{name}").read_bytes()
+                    == (tmp_path / f"old.{name}").read_bytes())
+
+
+def test_coupling_json_refuses_a_coupling_in_rd(tmp_path):
+    # its positions are rows, which the [x, y, w] entries cannot hold
+    pi = Coupling([[0.0, 0.0]], [[1.0, 0.0]], [1.0], dim=2)
+    with pytest.raises(InputError):
+        write_coupling_json(tmp_path / "c.json", pi)
+
+
+class TestFloatTexts:
+    def test_signed_zeros_keep_their_texts(self):
+        assert float_texts([0.0, -0.0, 0.0], [-0.0]) == [["0.0", "-0.0", "0.0"], ["-0.0"]]
+
+    def test_each_distinct_value_formatted_once(self):
+        # one repr per distinct value: every occurrence shares its text object
+        texts = float_texts([1.5, 2.5, 1.5, -0.0], [2.5, 1e16, 1.5, 0.0])
+        assert texts == [["1.5", "2.5", "1.5", "-0.0"], ["2.5", "1e+16", "1.5", "0.0"]]
+        assert len({id(t) for col in texts for t in col}) == 5
+
+    def test_one_repr_per_distinct_value_of_a_solve(self, tmp_path, monkeypatch):
+        # the JSON and the CSV of one solve: entries and maps share values
+        import motkit.mot1d
+        calls = []
+        monkeypatch.setattr(motkit.mot1d, "repr", lambda v: calls.append(v) or repr(v),
+                            raising=False)
+        pi = Coupling([-0.5, -0.5, 0.5, 0.5], [-2.0, 2.0, -2.0, 2.0],
+                      [0.1875, 0.0625, 0.0625, 0.1875])
+        maps = TransportMaps([-0.5, 0.5], [-2.0, -2.0], [2.0, 2.0],
+                             [0.75, 1.0], [0.25, 1.0])
+        write_coupling_json(tmp_path / "c.json", pi, 1.875, maps)
+        write_maps_csv(tmp_path / "m.csv", maps)
+        assert sorted(calls) == [-2.0, -0.5, 0.0625, 0.1875, 0.25, 0.5, 0.75, 1.0, 2.0]
+
+    def test_empty_columns(self):
+        assert float_texts(np.zeros(0), []) == [[], []]
