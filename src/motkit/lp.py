@@ -9,17 +9,20 @@ atoms (y_j, nu_j) are constrained by
 
 and the objective is sum pi[i, j] |x_i - y_j|^p. Only the 2 + d nonzeros of
 each constraint column are stored. The system is solved by a self-contained
-revised two-phase simplex: it keeps only the basis inverse B^-1 and the basic
-values, prices the nonzeros of A, forms the entering column alone and updates
-B^-1 by a rank-1 step, so a pivot costs O(rows^2 + nnz(A)) time and memory
-(Dantzig pricing with a Bland's-rule fallback once the objective stalls);
-B^-1 is recomputed from the basic columns after every rows-many updates.
-Phase 1 starts from the north-west-corner coupling of the marginals sorted
-by first coordinate (MotLp.start), which meets every row and column sum, so
-only the barycenter rows begin on artificials. Infeasibility of phase 1 is
-exactly the convex-order failure of the marginals. uniqueness_probe decides
-whether the optimum is unique with one more LP, over the optimal face of the
-base solve.
+revised two-phase simplex over one basis object: it keeps only the basis
+inverse B^-1 and the basic values, prices the nonzeros of A, forms the
+entering column alone and updates B^-1 by a rank-1 step, so a pivot costs
+O(rows^2 + nnz(A)) time and memory (Dantzig pricing and Harris's ratio test,
+with a Bland's-rule fallback once the objective stalls); B^-1 is recomputed
+from the basic columns after every rows-many updates. A and b are kept as
+given: each row's artificial column carries the sign that makes its basic
+value nonnegative. Phase 1 starts from the north-west-corner coupling of the
+marginals sorted by first coordinate (MotLp.start), which meets every row
+and column sum, so only the barycenter rows begin on artificials.
+Infeasibility of phase 1 is exactly the convex-order failure of the
+marginals; an unbounded phase, the iteration limit and a singular basis
+raise SolverFailureError. uniqueness_probe decides whether the optimum is
+unique with one more phase on the base solve's basis, over its optimal face.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, SolverFailureError
-from .measures import DiscreteMeasure
+from .measures import POSITION_TOL, DiscreteMeasure, _as_rows
 from .mot1d import Coupling
 
 PIVOT_TOL = 1e-9
@@ -50,18 +53,16 @@ class Nonzeros(NamedTuple):
 
 
 class _Basis:
-    """A simplex basis of [A I] v = b, some rows negated so that the basic
-    artificials are nonnegative: B^-1, the basic columns and their values,
-    over the nonzeros of [A I] grouped by column.
+    """A simplex basis of [A S] v = b: B^-1, the basic columns and their
+    values, over the nonzeros of [A S] grouped by column.
 
-    Column j < n is column j of A; column n + k is the artificial unit
-    vector of row k. Without a start every artificial is basic and the rows
-    with b < 0 are negated. A start lists len(b) basic columns; B^-1 is
-    factorized on them once and every row whose basic artificial comes out
-    negative is negated, which flips that value's sign and leaves the
-    structural values as they are. Structural values down to -tol are
-    clipped to 0; a caller offers a start whose basic solution is
-    nonnegative up to that tolerance, and a lower value raises
+    Column j < n is column j of A; column n + k is row k's artificial, the
+    signed unit vector sign_k e_k, so A and b are kept as given; sign_k
+    starts as the sign of b_k (+1 at 0). The basis is `start`, len(b)
+    columns, or else every artificial. B^-1 is factorized on it once, and
+    each basic artificial that comes out negative has its sign, its row of
+    B^-1 and its value negated; the other basic values are nonnegative up
+    to -tol, which is clipped to 0, and a lower value raises
     SolverFailureError. B^-1 is updated by rank-1 steps and recomputed from
     the basic columns after every len(basis) of them, so rounding does not
     grow with the pivot count.
@@ -70,42 +71,27 @@ class _Basis:
     def __init__(self, A: Nonzeros, b: np.ndarray, start=None, tol: float = 0.0):
         m, self.n = A.shape
         self.width = self.n + m
-        sign = np.where(b < 0, -1.0, 1.0)
-        self._set_signs(A, b, sign)
-        self.updates = 0
-        if start is None:
-            self.basis = np.arange(self.n, self.width)
-            self.inv = np.eye(m)
-            self.x = self.b.copy()
-            return
-        self.basis = np.array(start)
+        self.b = b
+        self._set_nonzeros(np.concatenate([A.row, np.arange(m)]),
+                           np.concatenate([A.col, np.arange(self.n, self.width)]),
+                           np.concatenate([A.val, np.where(b < 0, -1.0, 1.0)]))
+        self.basis = np.arange(self.n, self.width) if start is None else np.array(start)
         self.refactorize()
-        flip = (self.basis >= self.n) & (self.x < 0)
-        if flip.any():
-            rows = self.basis[flip] - self.n
-            sign[rows] = -sign[rows]
-            self._set_signs(A, b, sign)
-            self.refactorize()
+        flip = np.flatnonzero((self.basis >= self.n) & (self.x < 0))
+        self.nz_val[self.nz_start[self.basis[flip]]] *= -1
+        self.inv[flip] *= -1
+        self.x[flip] *= -1
         low = float(self.x.min())
         if low < -tol:
             raise SolverFailureError(f"start basis has a basic value {low:.3e} < 0")
         self.x[self.x < 0] = 0.0
-
-    def _set_signs(self, A: Nonzeros, b: np.ndarray, sign: np.ndarray):
-        """[A I] v = b with row k multiplied by sign[k] (the unit columns
-        stay as they are)."""
-        m = len(b)
-        self._set_nonzeros(np.concatenate([A.row, np.arange(m)]),
-                           np.concatenate([A.col, np.arange(self.n, self.width)]),
-                           np.concatenate([A.val * sign[A.row], np.ones(m)]))
-        self.b = b * sign
 
     def _set_nonzeros(self, nz_row, nz_col, nz_val):
         self.nz_row, self.nz_col, self.nz_val = nz_row, nz_col, nz_val
         self.nz_start = np.searchsorted(nz_col, np.arange(self.width + 1))
 
     def price(self, y: np.ndarray) -> np.ndarray:
-        """y @ [A I]."""
+        """y @ [A S]."""
         return np.bincount(self.nz_col, weights=y[self.nz_row] * self.nz_val,
                            minlength=self.width)
 
@@ -115,8 +101,15 @@ class _Basis:
         return self.inv[:, self.nz_row[lo:hi]] @ self.nz_val[lo:hi]
 
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        """cost - y @ [A I] over the first len(cost) columns, y = c_B B^-1."""
+        """cost - y @ [A S] over the first len(cost) columns, y = c_B B^-1."""
         return cost - self.price(cost[self.basis] @ self.inv)[:len(cost)]
+
+    def values(self) -> np.ndarray:
+        """The basic solution over the n columns of A, negatives clipped to 0."""
+        v = np.zeros(self.n)
+        v[self.basis] = self.x
+        v[v < 0] = 0.0
+        return v
 
     def pivot(self, row: int, q: int, u: np.ndarray):
         """Column q (u = B^-1 a_q) enters in place of basic position row."""
@@ -163,16 +156,22 @@ class _Basis:
                            self.nz_val[sel])
 
 
-def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
-    """Pivot until optimal. Returns (status, iterations, reduced costs,
-    whether Bland's rule was switched on).
+def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
+    """Pivot until optimal. Returns (iterations, whether Bland's rule was
+    switched on); an unbounded cost or max(2000, 25 * B.width) iterations
+    raise SolverFailureError.
 
-    Entering candidates are the len(cost) first columns. Dantzig pricing
-    switches permanently to Bland's rule after stall_limit iterations
-    without objective progress. Among rows tied at the minimum ratio, the
-    one with the largest pivot element leaves, or under Bland's rule the
-    one with the lowest basic index.
+    Entering candidates are the len(cost) first columns; a column of cost
+    +inf never enters. Dantzig pricing switches permanently to Bland's rule
+    after 10 * B.width iterations without objective progress. Under Bland's
+    rule the row of lowest basic index leaves among those tied at the
+    minimum ratio. Otherwise the ratio test is Harris's (Math. Programming,
+    1973): the window of tied rows widens to every ratio at most the least
+    (x_i + 1e-12) / u_i, and the row with the largest pivot element in it
+    leaves, which keeps degenerate steps off near-zero pivots.
     """
+    maxiter = max(2000, 25 * B.width)
+    stall_limit = 10 * B.width
     bland = False
     stall = 0
     best = np.inf
@@ -181,24 +180,24 @@ def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
         if bland:
             cand = np.nonzero(d < -PIVOT_TOL)[0]
             if len(cand) == 0:
-                return "optimal", it, d, bland
+                return it, bland
             col = int(cand[0])
         else:
             col = int(np.argmin(d))
             if d[col] >= -PIVOT_TOL:
-                return "optimal", it, d, bland
+                return it, bland
         u = B.column(col)
         # relative to the column's scale, so rounding noise never pivots
-        pos = u > PIVOT_TOL * max(1.0, float(np.abs(u).max()))
-        if not pos.any():
-            return "unbounded", it, d, bland
-        ratios = np.full(len(u), np.inf)
-        ratios[pos] = B.x[pos] / u[pos]
+        pos = np.flatnonzero(u > PIVOT_TOL * max(1.0, float(np.abs(u).max())))
+        if len(pos) == 0:
+            raise SolverFailureError(f"{phase} ended with unbounded")
+        x_pos, u_pos = B.x[pos], u[pos]
+        ratios = x_pos / u_pos
         best_ratio = ratios.min()
         thresh = best_ratio + 1e-12 * max(1.0, abs(best_ratio))
-        ties = np.nonzero(ratios <= thresh)[0]
-        # Bland's rule needs the lowest basic index; otherwise the largest
-        # pivot element keeps degenerate steps off near-zero pivots
+        if not bland:
+            thresh = max(thresh, float(((x_pos + 1e-12) / u_pos).min()))
+        ties = pos[ratios <= thresh]
         row = int(ties[np.argmin(B.basis[ties])] if bland else ties[np.argmax(u[ties])])
         B.pivot(row, col, u)
         cur = float(cost[B.basis] @ B.x)
@@ -209,28 +208,22 @@ def _run_phase(B: _Basis, cost: np.ndarray, maxiter: int, stall_limit: int):
             stall += 1
             if stall > stall_limit:
                 bland = True
-    return "maxiter", maxiter, None, bland
+    raise SolverFailureError(f"{phase} ended with maxiter")
 
 
 def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray,
                      feas_tol: float, start=None):
-    """simplex_solve, plus the reduced costs c - y @ A at the optimum
-    (None unless optimal)."""
+    """simplex_solve, plus the _Basis at the optimum (None when infeasible)."""
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
     B = _Basis(A, b, start, feas_tol)
 
-    maxiter = max(2000, 25 * (m + n))
-    stall_limit = 10 * (m + n)
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    status, it1, _, bland1 = _run_phase(B, phase1_cost, maxiter, stall_limit)
-    if status != "optimal":
-        return "failure", None, it1, f"phase 1 ended with {status}", None
+    it1, bland1 = _run_phase(B, phase1_cost, "phase 1")
     phase1_obj = float(phase1_cost[B.basis] @ B.x)
     if phase1_obj > feas_tol:
-        return ("infeasible", None, it1, f"phase-1 residual {phase1_obj:.3e}",
-                None)
+        return "infeasible", None, it1, f"phase-1 residual {phase1_obj:.3e}", None
 
     # Drive leftover artificial variables out of the basis; a row where no
     # structural column can pivot is redundant and is dropped.
@@ -244,16 +237,10 @@ def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray,
                 redundant.append(i)
     B.drop(redundant)
 
-    status, it2, d, bland2 = _run_phase(B, c, maxiter, stall_limit)
-    if status != "optimal":
-        return ("failure", None, it1 + it2, f"phase 2 ended with {status}",
-                None)
-    v = np.zeros(n)
-    v[B.basis] = B.x
-    v[v < 0] = 0.0
+    it2, bland2 = _run_phase(B, c, "phase 2")
     bland = [f"phase {k}" for k, on in ((1, bland1), (2, bland2)) if on]
     msg = f"Bland's rule switched on in {' and '.join(bland)}" if bland else ""
-    return "optimal", v, it1 + it2, msg, d
+    return "optimal", B.values(), it1 + it2, msg, B
 
 
 def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray,
@@ -262,13 +249,14 @@ def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray,
 
     Only the basis inverse and the basic values are kept; each pivot prices
     the nonzeros of A and updates B^-1 by a rank-1 step. Phase 1 starts from
-    `start`, len(b) columns of [A I] (column n + k is row k's artificial)
+    `start`, len(b) columns of [A S] (column n + k is row k's artificial)
     whose basic solution is nonnegative up to feas_tol, or else from the
     all-artificial basis. Returns (status, v, iterations, message); status
-    is one of optimal / infeasible / failure. Redundant equality rows are
-    dropped after phase 1. On an optimal solve the message says whether
-    Bland's rule was switched on. A singular basis raises
-    SolverFailureError.
+    is optimal, or infeasible when phase 1 leaves a residual above
+    feas_tol. Redundant equality rows are dropped after phase 1. On an
+    optimal solve the message says whether Bland's rule was switched on.
+    An unbounded phase, one that reaches its iteration limit and a
+    singular basis raise SolverFailureError.
     """
     return _revised_simplex(A, b, c, feas_tol, start)[:4]
 
@@ -396,11 +384,9 @@ def _gated_residual(prob: MotLp, v: np.ndarray, solve: str) -> float:
 
 def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
     """Gate a simplex result on its feasibility residual and read off the
-    coupling; a failed solve or a missed gate raises SolverFailureError."""
+    coupling; a missed gate raises SolverFailureError."""
     if status == "infeasible":
         return LpSolution("infeasible", None, None, None, {}, iters, msg)
-    if status != "optimal":
-        raise SolverFailureError(f"LP failed: {msg}")
     residuals = {"feasibility": _gated_residual(prob, v, "LP")}
 
     mu, nu = prob.mu, prob.nu
@@ -425,17 +411,13 @@ def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
 
 
 def diagonal_mass(sol: LpSolution) -> float:
-    """Mass the optimal coupling keeps fixed (entries with x = y)."""
+    """Mass the optimal coupling keeps fixed: entries whose x and y are one
+    atom under the merge rule, every coordinate within POSITION_TOL."""
     if sol.status != "optimal":
         raise InputError("diagonal_mass requires an optimal solution")
     pi = sol.coupling
-    if len(pi) == 0:
-        return 0.0
-    if pi.dim == 1:
-        on_diag = np.abs(pi.xs - pi.ys) <= 1e-12
-    else:
-        on_diag = np.linalg.norm(pi.xs - pi.ys, axis=1) <= 1e-12
-    return float(pi.masses[on_diag].sum())
+    gap = np.abs(_as_rows(pi.xs) - _as_rows(pi.ys)).max(axis=1, initial=0.0)
+    return float(pi.masses[gap <= POSITION_TOL].sum())
 
 
 def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:
@@ -446,29 +428,23 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool
     PIVOT_TOL * max(1, max|C|) (complementary slackness). The base optimum
     is a vertex, so its support columns are independent and it is the only
     optimizer iff no optimizer puts mass on a face column that the base
-    leaves empty. One LP over the face maximizes that mass; returns True iff
-    its maximizer coincides with the base optimizer within 1e-7 entrywise.
-    Both solves must pass the feasibility gate of solve_lp, or
-    SolverFailureError is raised.
+    leaves empty. One more phase on the base solve's basis, a feasible
+    vertex of the face LP, maximizes that mass; columns off the face cost
+    +inf and never enter. Returns True iff its maximizer coincides with the
+    base optimizer within 1e-7 entrywise. Both optimizers must pass the
+    feasibility gate of solve_lp, or SolverFailureError is raised.
     """
     prob = MotLp(mu, nu, p)
-    feas_tol = _feas_tol(prob)
-    *result, reduced = _revised_simplex(prob.A, prob.b, prob.objective_vector(),
-                                        feas_tol, prob.start)
-    base = _solution(prob, *result)
-    if base.status != "optimal":
-        raise SolverFailureError(f"probe requires an optimal base solve, got {base.status}")
-
-    base_v = base.matrix.ravel()
-    face = np.flatnonzero(reduced <= PIVOT_TOL * max(1.0, float(np.abs(prob.C).max())))
-    empty = (base_v[face] <= _support_cutoff(prob)).astype(float)
-    A, on_face = prob.A, np.isin(prob.A.col, face)
-    A_face = Nonzeros(A.row[on_face], np.searchsorted(face, A.col[on_face]),
-                      A.val[on_face], (len(prob.b), len(face)))
-    status, v_face, _, msg = simplex_solve(A_face, prob.b, -empty, feas_tol)
+    c = prob.objective_vector()
+    status, base_v, _, _, B = _revised_simplex(prob.A, prob.b, c, _feas_tol(prob),
+                                               prob.start)
     if status != "optimal":
-        raise SolverFailureError(f"face solve failed: {status} {msg}")
-    v = np.zeros(len(base_v))
-    v[face] = v_face
+        raise SolverFailureError(f"probe requires an optimal base solve, got {status}")
+    _gated_residual(prob, base_v, "LP")
+
+    face = B.reduced_costs(c) <= PIVOT_TOL * max(1.0, float(np.abs(prob.C).max()))
+    empty = base_v <= _support_cutoff(prob)
+    _run_phase(B, np.where(face, -empty.astype(float), np.inf), "face solve")
+    v = B.values()
     _gated_residual(prob, v, "face solve")
     return bool(np.abs(v - base_v).max() <= 1e-7)

@@ -118,16 +118,23 @@ def nearest_atom(atoms, points) -> np.ndarray:
 def _merge_groups(positions: np.ndarray, masses: np.ndarray):
     """One atom per group of `group_atoms`, at the mass-weighted mean of its
     members, in lexicographic order. Lone atoms, and groups whose members
-    share one exact position, keep that position."""
+    share one exact position, keep that position. The mean is taken about
+    the group's first member, so mass times position is never formed; a
+    merged mass beyond the float range raises InputError."""
     rows = _as_rows(positions)
     labels = group_atoms(rows)
     order = np.lexsort((*rows.T[::-1], labels))
     lab, pos, w = labels[order], rows[order], masses[order]
     starts = np.flatnonzero(np.diff(lab, prepend=-1))
-    out_mass = np.add.reduceat(w, starts)
-    differ = np.logical_or.reduceat((pos != pos[starts][lab]).any(axis=1), starts)
-    mean = np.add.reduceat(w[:, None] * pos, starts) / out_mass[:, None]
-    out_pos = np.where(differ[:, None], mean, pos[starts])
+    with np.errstate(over="ignore"):
+        out_mass = np.add.reduceat(w, starts)
+    if not np.isfinite(out_mass).all():
+        raise InputError("a merged atom mass overflows the float range")
+    first = pos[starts]
+    offset = pos - first[lab]
+    differ = np.logical_or.reduceat((offset != 0).any(axis=1), starts)
+    mean = first + np.add.reduceat(w[:, None] * offset, starts) / out_mass[:, None]
+    out_pos = np.where(differ[:, None], mean, first)
     final = np.lexsort(out_pos.T[::-1])
     return out_pos[final].reshape(-1, *positions.shape[1:]), out_mass[final]
 

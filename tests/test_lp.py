@@ -5,8 +5,8 @@ from scipy.sparse import coo_matrix
 
 import motkit.lp
 from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
-                    common_mass_split, cost, detect_separation, diagonal_mass,
-                    solve_lp, solve_radial, uniqueness_probe,
+                    SolverFailureError, common_mass_split, cost, detect_separation,
+                    diagonal_mass, solve_lp, solve_radial, uniqueness_probe,
                     validate_coupling)
 from motkit.lp import (RESIDUAL_RTOL, Nonzeros, _Basis, _feas_tol,
                        simplex_solve)
@@ -149,12 +149,14 @@ class TestRevisedSimplex:
         assert c @ v == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("eighths,seed", [
-        *((False, s) for s in (22, 81, 220, 314, 466, 502, 599)),
-        *((True, s) for s in (176, 200, 228, 273, 560, 575))])
+        *((False, s) for s in (22, 81, 121, 220, 314, 466, 502, 599)),
+        *((True, s) for s in (176, 200, 228, 273, 435, 560, 575))])
     def test_degenerate_ties_take_the_largest_pivot(self, eighths, seed):
         # with the lowest basic index among tied rows, 10 of these solves
         # reach a singular basis at a refactorization and 3 run to the
-        # iteration limit under Bland's rule
+        # iteration limit under Bland's rule; with the largest pivot among
+        # exact ties only, seed 121 reaches a singular basis and eighths
+        # seed 435 misses the residual gate (Harris's window mends both)
         mu, nu = split_grid_instance(seed, eighths)
         prob = MotLp(mu, nu, 1.0, "max")
         ref = linprog(prob.objective_vector(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
@@ -162,6 +164,12 @@ class TestRevisedSimplex:
         sol = solve_lp(mu, nu, 1.0, "max")
         assert sol.status == "optimal" and ref.status == 0
         assert sol.objective == pytest.approx(-ref.fun, rel=1e-9)
+
+    def test_unbounded_lp_raises(self):
+        # v0 = v1 with v0 unbounded above: phase 2 finds no leaving row
+        with pytest.raises(SolverFailureError, match="phase 2 ended with unbounded"):
+            simplex_solve(nonzeros(np.array([[1.0, -1.0]])), np.array([0.0]),
+                          np.array([-1.0, 0.0]), 1e-8)
 
     def test_refactorized_residuals_40x80(self):
         # rounding must not grow with the pivot count: B^-1 is recomputed
@@ -308,6 +316,15 @@ class TestStayPut:
         sol = solve_lp(mu, nu, 1.0)
         assert diagonal_mass(sol) == 0.0
 
+    def test_diagonal_is_the_atom_rule_in_2d(self):
+        # an entry whose ends differ by 1e-12 in each coordinate is one atom
+        # under the merge rule (max-abs distance), though 1.41e-12 apart
+        mu = DiscreteMeasure([[0.0, 0.0]], [1.0], dim=2)
+        nu = DiscreteMeasure([[1e-12, 1e-12]], [1.0], dim=2)
+        sol = solve_lp(mu, nu, 1.0)
+        assert sol.status == "optimal" and len(sol.coupling) == 1
+        assert diagonal_mass(sol) == 1.0
+
     def test_identical_marginals_full_diagonal(self):
         mu = DiscreteMeasure([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
         sol = solve_lp(mu, mu, 1.0)
@@ -336,20 +353,18 @@ class TestUniquenessProbe:
         assert uniqueness_probe(mu, nu, p)
 
     def test_every_solve_passes_feasibility_gate(self, monkeypatch):
-        solve = motkit.lp.simplex_solve
+        gate = motkit.lp._gated_residual
         scaled_residuals = []
 
-        def checked(A, b, c, feas_tol):
-            status, v, iters, msg = solve(A, b, c, feas_tol)
-            assert status == "optimal"
-            scaled_residuals.append(float(np.abs(scipy_matrix(A) @ v - b).max())
-                                    / max(1.0, float(np.abs(b).max())))
-            return status, v, iters, msg
+        def checked(prob, v, solve):
+            resid = gate(prob, v, solve)
+            scaled_residuals.append(resid / max(1.0, float(np.abs(prob.b).max())))
+            return resid
 
-        monkeypatch.setattr(motkit.lp, "simplex_solve", checked)
+        monkeypatch.setattr(motkit.lp, "_gated_residual", checked)
         mu, nu = spread_pair_instance(np.random.default_rng([777, 19]), 20)
         assert uniqueness_probe(mu, nu, 1.0)
-        assert len(scaled_residuals) == 1      # the face LP
+        assert len(scaled_residuals) == 2      # the base and the face optimum
         assert max(scaled_residuals) <= RESIDUAL_RTOL
 
     def test_segment_of_optimizers_not_unique(self):
@@ -419,7 +434,6 @@ class TestInputContracts:
             MotLp(DiscreteMeasure.empty(), DiscreteMeasure([0.0], [1.0]), 1.0)
 
     def test_probe_requires_feasible_base(self):
-        from motkit import SolverFailureError
         mu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
         nu = DiscreteMeasure([0.0], [1.0])
         with pytest.raises(SolverFailureError):

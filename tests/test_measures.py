@@ -250,6 +250,16 @@ class TestConstruction:
         m2 = DiscreteMeasure([[x, 1 / 3]] * 3, [0.1, 0.2, 0.3], dim=2)
         assert np.array_equal(m2.positions, [[x, 1 / 3]])
 
+    def test_huge_mass_times_position_does_not_overflow(self):
+        # the mean is taken about the group's first member, so mass times
+        # position is never formed
+        m = DiscreteMeasure([10.0], [1e308])
+        assert m.atoms() == [(10.0, 1e308)]
+
+    def test_merged_mass_beyond_float_range_rejected(self):
+        with pytest.raises(InputError):
+            DiscreteMeasure([1.0, 1.0], [1.5e308, 1.5e308])
+
     def test_negative_mass_rejected(self):
         with pytest.raises(InputError):
             DiscreteMeasure([0.0], [-1.0])

@@ -153,7 +153,7 @@ class TestLpInfeasibleAfterOrderCheck:
 
 
 def _failed_simplex(A, b, c, feas_tol, start=None):
-    return "failure", None, 0, "phase 1 ended with maxiter"
+    raise SolverFailureError("phase 1 ended with maxiter")
 
 
 def _zero_optimum(A, b, c, feas_tol, start=None):

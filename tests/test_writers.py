@@ -105,14 +105,15 @@ class TestAgainstOracle:
             write_maps_csv(tmp / "new.csv", maps)
             oracle_maps_csv(tmp / "old.csv", maps)
             assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
-        # the marginals merge atoms by mass-weighted means, which overflow
-        # near the float range's end; the induced CSV holds cells of a radius
-        # grid, so its entries stay within 1e17
-        small = np.maximum(np.maximum(np.abs(pi.xs), np.abs(pi.ys)), pi.masses) <= 1e17
-        if small.any():
-            pi = Coupling(pi.xs[small], pi.ys[small], pi.masses[small])
-            write_induced_csv(tmp / "new_ind.csv", pi)
+        # the marginals merge atoms, and a merged mass beyond the float
+        # range is refused by both
+        try:
             oracle_induced_csv(tmp / "old_ind.csv", pi)
+        except InputError:
+            with pytest.raises(InputError):
+                write_induced_csv(tmp / "new_ind.csv", pi)
+        else:
+            write_induced_csv(tmp / "new_ind.csv", pi)
             assert (tmp / "new_ind.csv").read_bytes() == (tmp / "old_ind.csv").read_bytes()
 
     def test_solve_radial_files(self, tmp_path):
