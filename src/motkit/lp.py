@@ -167,11 +167,17 @@ def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
     rule the row of lowest basic index leaves among those tied at the
     minimum ratio. Otherwise the ratio test is Harris's (Math. Programming,
     1973): the window of tied rows widens to every ratio at most the least
-    (x_i + 1e-12) / u_i, and the row with the largest pivot element in it
-    leaves, which keeps degenerate steps off near-zero pivots.
+    (x_i + h) / u_i, h = 1e-12 * max(1, max|b|) on the scale of the
+    residual gate, and the row with the largest pivot element in it leaves,
+    which keeps degenerate steps off near-zero pivots. Basic values can end
+    a little below 0 (down to -2h on the split-grid family at mass scales 1
+    and 1e6); values() clips them. The step is not clamped at 0: that
+    breaks B v = b until the next refactorization, and it failed 3 more
+    solves of that family at mass scale 1e-6.
     """
     maxiter = max(2000, 25 * B.width)
     stall_limit = 10 * B.width
+    harris = 1e-12 * max(1.0, float(np.abs(B.b).max()))
     bland = False
     stall = 0
     best = np.inf
@@ -196,7 +202,7 @@ def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
         best_ratio = ratios.min()
         thresh = best_ratio + 1e-12 * max(1.0, abs(best_ratio))
         if not bland:
-            thresh = max(thresh, float(((x_pos + 1e-12) / u_pos).min()))
+            thresh = max(thresh, float(((x_pos + harris) / u_pos).min()))
         ties = pos[ratios <= thresh]
         row = int(ties[np.argmin(B.basis[ties])] if bland else ties[np.argmax(u[ties])])
         B.pivot(row, col, u)
@@ -443,6 +449,7 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool
     _gated_residual(prob, base_v, "LP")
 
     face = B.reduced_costs(c) <= PIVOT_TOL * max(1.0, float(np.abs(prob.C).max()))
+    face[B.basis] = True        # rounding must not price a basic column off the face
     empty = base_v <= _support_cutoff(prob)
     _run_phase(B, np.where(face, -empty.astype(float), np.inf), "face solve")
     v = B.values()

@@ -6,8 +6,11 @@ with a known margin and the solvers can be cross-checked without filtering.
 """
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
-from motkit import Coupling, DiscreteMeasure, GridDensity, RadialAtoms
+from motkit import (Coupling, DiscreteMeasure, GridDensity, MotkitError, MotLp,
+                    RadialAtoms, solve_lp)
 
 
 def separated_instance(rng, kmax=15, pool_max=7):
@@ -212,3 +215,33 @@ def split_grid_instance(seed, eighths=False):
     mu = DiscreteMeasure(x, w, dim=3)
     nu = DiscreteMeasure(np.concatenate([x + a, x - a]), np.concatenate([w, w]) / 2, dim=3)
     return mu, nu
+
+
+def scipy_matrix(A):
+    """The constraint matrix held as nonzeros, as a scipy sparse matrix."""
+    return coo_matrix((A.val, (A.row, A.col)), shape=A.shape).tocsr()
+
+
+def split_grid_failure(seed, eighths=False, scale=1.0):
+    """Why solve_lp(mu, nu, 1.0, "max") misses on split_grid_instance(seed,
+    eighths) with every mass times `scale`, or None when it is optimal and
+    within 1e-9 relative of `scale` times the HiGHS optimum of the unscaled
+    pair."""
+    mu, nu = split_grid_instance(seed, eighths)
+    prob = MotLp(mu, nu, 1.0, "max")
+    ref = linprog(prob.objective_vector(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
+                  bounds=(0, None), method="highs")
+    if ref.status != 0:
+        return f"HiGHS status {ref.status}"
+    target = -scale * ref.fun
+    try:
+        sol = solve_lp(DiscreteMeasure(mu.positions, scale * mu.masses, dim=mu.dim),
+                       DiscreteMeasure(nu.positions, scale * nu.masses, dim=nu.dim),
+                       1.0, "max")
+    except MotkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if sol.status != "optimal":
+        return sol.status
+    if abs(sol.objective - target) > 1e-9 * abs(target):
+        return f"objective {sol.objective!r}, HiGHS {target!r}"
+    return None

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 import motkit.lp
 from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
@@ -12,13 +11,8 @@ from motkit.lp import (RESIDUAL_RTOL, Nonzeros, _Basis, _feas_tol,
                        simplex_solve)
 from motkit.mot1d import solve_sweep
 from instances import (overlapping_instance, ring_directions, ring_instance,
-                       rotation_2d, separated_instance, shell_atoms,
-                       split_grid_instance, spread_pair_instance)
-
-
-def scipy_matrix(A: Nonzeros):
-    """The constraint matrix held as nonzeros, as a scipy sparse matrix."""
-    return coo_matrix((A.val, (A.row, A.col)), shape=A.shape).tocsr()
+                       rotation_2d, scipy_matrix, separated_instance, shell_atoms,
+                       split_grid_failure, spread_pair_instance)
 
 
 def nonzeros(dense: np.ndarray) -> Nonzeros:
@@ -157,13 +151,16 @@ class TestRevisedSimplex:
         # iteration limit under Bland's rule; with the largest pivot among
         # exact ties only, seed 121 reaches a singular basis and eighths
         # seed 435 misses the residual gate (Harris's window mends both)
-        mu, nu = split_grid_instance(seed, eighths)
-        prob = MotLp(mu, nu, 1.0, "max")
-        ref = linprog(prob.objective_vector(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
-                      bounds=(0, None), method="highs")
-        sol = solve_lp(mu, nu, 1.0, "max")
-        assert sol.status == "optimal" and ref.status == 0
-        assert sol.objective == pytest.approx(-ref.fun, rel=1e-9)
+        assert split_grid_failure(seed, eighths) is None
+
+    @pytest.mark.parametrize("eighths,seed,scale", [
+        (False, 121, 1e-6), (True, 435, 1e-6), (False, 228, 1e6), (True, 131, 1e6)])
+    def test_degenerate_ties_at_any_mass_scale(self, eighths, seed, scale):
+        # every mass times 1e-6 or 1e6: Harris's window is 1e-12 *
+        # max(1, max|b|), like the residual gate; with 1e-12 alone it is
+        # shut at 1e6, and seed 228 misses the gate (residual 1.2e-3) and
+        # eighths seed 131 reaches a singular basis
+        assert split_grid_failure(seed, eighths, scale) is None
 
     def test_unbounded_lp_raises(self):
         # v0 = v1 with v0 unbounded above: phase 2 finds no leaving row

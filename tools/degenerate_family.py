@@ -1,65 +1,37 @@
 """Solve the degenerate split-grid family with the LP oracle against HiGHS.
 
-    PYTHONPATH=src python3 tools/degenerate_family.py [--seeds 600]
+    PYTHONPATH=src python3 tools/degenerate_family.py
 
 Each seed of `split_grid_instance` (tests/instances.py), with equal masses
 and with random multiples of 1/8, is a d = 3 pair whose ratio tests tie
-often. The script runs `solve_lp(mu, nu, 1.0, "max")` on every one and
-compares the optimum with scipy's HiGHS. It prints one line per failure,
-then a summary, and exits 1 when any solve is not optimal or is off HiGHS
-by more than RTOL relative.
+often. The script runs `solve_lp(mu, nu, 1.0, "max")` on seeds 0 to
+SEEDS - 1 of both variants and compares each optimum with scipy's HiGHS
+(`split_grid_failure`, which the tests use too). It prints one line per
+failure, then a summary, and exits 1 when any solve is not optimal or is
+off HiGHS by more than 1e-9 relative.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from instances import split_grid_instance  # noqa: E402
-from motkit import MotkitError, MotLp, solve_lp  # noqa: E402
+from instances import split_grid_failure  # noqa: E402
 
-RTOL = 1e-9
-
-
-def failure(seed: int, eighths: bool) -> str | None:
-    """Why the solve of one family member fails, or None when it matches."""
-    mu, nu = split_grid_instance(seed, eighths)
-    prob = MotLp(mu, nu, 1.0, "max")
-    A = coo_matrix((prob.A.val, (prob.A.row, prob.A.col)), shape=prob.A.shape).tocsr()
-    ref = linprog(prob.objective_vector(), A_eq=A, b_eq=prob.b, bounds=(0, None),
-                  method="highs")
-    if ref.status != 0:
-        return f"HiGHS status {ref.status}"
-    try:
-        sol = solve_lp(mu, nu, 1.0, "max")
-    except MotkitError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    if sol.status != "optimal":
-        return sol.status
-    if abs(sol.objective + ref.fun) > RTOL * max(1.0, abs(ref.fun)):
-        return f"objective {sol.objective!r}, HiGHS {-ref.fun!r}"
-    return None
+SEEDS = 600
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=600)
-    args = parser.parse_args(argv)
+def main() -> int:
     failures = 0
     for eighths in (False, True):
-        for seed in range(args.seeds):
-            why = failure(seed, eighths)
+        for seed in range(SEEDS):
+            why = split_grid_failure(seed, eighths)
             if why is not None:
                 failures += 1
                 print(f"seed {seed} eighths={eighths}: {why}")
-    print(f"{failures} failures in {2 * args.seeds} solves")
+    print(f"{failures} failures in {2 * SEEDS} solves")
     return 1 if failures else 0
 
 
