@@ -7,22 +7,25 @@ atoms (y_j, nu_j) are constrained by
     column sums     sum_i pi[i, j]          = nu_j          (n rows)
     row barycenters sum_j y_j[k] pi[i, j]   = x_i[k] mu_i   (d*m rows)
 
-and the objective is sum pi[i, j] |x_i - y_j|^p. Only the 2 + d nonzeros of
-each constraint column are stored. The system is solved by a self-contained
-revised two-phase simplex over one basis object: it keeps only the basis
-inverse B^-1 and the basic values, prices the nonzeros of A, forms the
-entering column alone and updates B^-1 by a rank-1 step, so a pivot costs
-O(rows^2 + nnz(A)) time and memory (Dantzig pricing and Harris's ratio test,
-with a Bland's-rule fallback once the objective stalls); B^-1 is recomputed
-from the basic columns after every rows-many updates. A and b are kept as
-given: each row's artificial column carries the sign that makes its basic
-value nonnegative. Phase 1 starts from the north-west-corner coupling of the
-marginals sorted by first coordinate (MotLp.start), which meets every row
-and column sum, so only the barycenter rows begin on artificials.
-Infeasibility of phase 1 is exactly the convex-order failure of the
-marginals; an unbounded phase, the iteration limit and a singular basis
-raise SolverFailureError. uniqueness_probe decides whether the optimum is
-unique with one more phase on the base solve's basis, over its optimal face.
+and the objective is sum pi[i, j] |x_i - y_j|^p. Every constraint column
+has its 2 + d entries in rows i, m + j and m + n + d*i + k, so A is stored
+as fixed-width columns (Nonzeros): one (2 + d, m*n) array of rows and one of
+values, an exact zero kept in its slot. The system is solved by a
+self-contained revised two-phase simplex over one basis object: it keeps
+only the basis inverse B^-1 and the basic values, prices the columns slot by
+slot, forms the entering column alone and updates B^-1 by a rank-1 step, so
+a pivot costs O(rows^2 + nnz(A)) time and memory (Dantzig pricing and
+Harris's ratio test, with a Bland's-rule fallback once the objective
+stalls); B^-1 is recomputed from the basic columns after every rows-many
+updates. A and b are kept as given: each row's artificial column carries
+the sign that makes its basic value nonnegative. Phase 1 starts from the
+north-west-corner coupling of the marginals sorted by first coordinate
+(MotLp.start), which meets every row and column sum, so only the barycenter
+rows begin on artificials. Infeasibility of phase 1 is exactly the
+convex-order failure of the marginals; an unbounded phase, the iteration
+limit and a singular basis raise SolverFailureError. uniqueness_probe
+decides whether the optimum is unique with one more phase on the base
+solve's basis, over its optimal face.
 """
 
 from __future__ import annotations
@@ -43,22 +46,24 @@ MAX_VARIABLES = 250_000
 
 
 class Nonzeros(NamedTuple):
-    """A sparse matrix of the given shape as its nonzero entries
-    val[k] = A[row[k], col[k]], sorted by column and then by row."""
+    """A sparse matrix of the given shape as fixed-width columns: row and
+    val are (slots, columns) arrays, and slot s of column q adds val[s, q]
+    to A[row[s, q], q]. A slot of value 0 adds nothing, whatever its row."""
 
     row: np.ndarray
-    col: np.ndarray
     val: np.ndarray
     shape: tuple
 
 
 class _Basis:
     """A simplex basis of [A S] v = b: B^-1, the basic columns and their
-    values, over the nonzeros of [A S] grouped by column.
+    values, over [A S] in A's fixed-width layout (row, val).
 
     Column j < n is column j of A; column n + k is row k's artificial, the
     signed unit vector sign_k e_k, so A and b are kept as given; sign_k
-    starts as the sign of b_k (+1 at 0). The basis is `start`, len(b)
+    starts as the sign of b_k (+1 at 0). An artificial has A's width: slot
+    0 holds sign_k in row k and its other slots hold 0 in row k, so B is
+    accumulated, never assigned, from the slots. The basis is `start`, len(b)
     columns, or else every artificial. B^-1 is factorized on it once, and
     each basic artificial that comes out negative has its sign, its row of
     B^-1 and its value negated; the other basic values are nonnegative up
@@ -72,13 +77,14 @@ class _Basis:
         m, self.n = A.shape
         self.width = self.n + m
         self.b = b
-        self._set_nonzeros(np.concatenate([A.row, np.arange(m)]),
-                           np.concatenate([A.col, np.arange(self.n, self.width)]),
-                           np.concatenate([A.val, np.where(b < 0, -1.0, 1.0)]))
+        slots = len(A.row)
+        self.row = np.hstack([A.row, np.broadcast_to(np.arange(m), (slots, m))])
+        self.val = np.hstack([A.val, np.zeros((slots, m))])
+        self.val[0, self.n:] = np.where(b < 0, -1.0, 1.0)
         self.basis = np.arange(self.n, self.width) if start is None else np.array(start)
         self.refactorize()
         flip = np.flatnonzero((self.basis >= self.n) & (self.x < 0))
-        self.nz_val[self.nz_start[self.basis[flip]]] *= -1
+        self.val[0, self.basis[flip]] *= -1
         self.inv[flip] *= -1
         self.x[flip] *= -1
         low = float(self.x.min())
@@ -86,19 +92,13 @@ class _Basis:
             raise SolverFailureError(f"start basis has a basic value {low:.3e} < 0")
         self.x[self.x < 0] = 0.0
 
-    def _set_nonzeros(self, nz_row, nz_col, nz_val):
-        self.nz_row, self.nz_col, self.nz_val = nz_row, nz_col, nz_val
-        self.nz_start = np.searchsorted(nz_col, np.arange(self.width + 1))
-
     def price(self, y: np.ndarray) -> np.ndarray:
         """y @ [A S]."""
-        return np.bincount(self.nz_col, weights=y[self.nz_row] * self.nz_val,
-                           minlength=self.width)
+        return (y[self.row] * self.val).sum(axis=0)
 
     def column(self, q: int) -> np.ndarray:
         """B^-1 times column q."""
-        lo, hi = self.nz_start[q], self.nz_start[q + 1]
-        return self.inv[:, self.nz_row[lo:hi]] @ self.nz_val[lo:hi]
+        return self.inv[:, self.row[:, q]] @ self.val[:, q]
 
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """cost - y @ [A S] over the first len(cost) columns, y = c_B B^-1."""
@@ -128,9 +128,7 @@ class _Basis:
         """Recompute B^-1 and the basic values from the basic columns."""
         k = len(self.basis)
         B = np.zeros((k, k))
-        for pos, q in enumerate(self.basis):
-            lo, hi = self.nz_start[q], self.nz_start[q + 1]
-            B[self.nz_row[lo:hi], pos] = self.nz_val[lo:hi]
+        np.add.at(B, (self.row[:, self.basis], np.arange(k)), self.val[:, self.basis])
         try:
             self.inv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
@@ -141,7 +139,8 @@ class _Basis:
     def drop(self, rows: list):
         """Delete basic positions `rows`, each held by the artificial of a
         redundant constraint, together with those constraints: B^-1 loses
-        the position's row and the constraint's column."""
+        the position's row and the constraint's column, and a slot in a
+        deleted constraint becomes a 0 in row 0."""
         keep = np.ones(len(self.basis), dtype=bool)
         keep[rows] = False
         keep_con = np.ones(len(self.basis), dtype=bool)
@@ -150,10 +149,9 @@ class _Basis:
         self.basis = self.basis[keep]
         self.x = self.x[keep]
         self.b = self.b[keep_con]
-        new_row = np.cumsum(keep_con) - 1
-        sel = keep_con[self.nz_row]
-        self._set_nonzeros(new_row[self.nz_row[sel]], self.nz_col[sel],
-                           self.nz_val[sel])
+        kept = keep_con[self.row]
+        self.row = np.where(kept, np.cumsum(keep_con)[self.row] - 1, 0)
+        self.val = np.where(kept, self.val, 0.0)
 
 
 def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
@@ -254,7 +252,7 @@ def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray,
     """min c@v subject to A v = b, v >= 0 (revised two-phase simplex).
 
     Only the basis inverse and the basic values are kept; each pivot prices
-    the nonzeros of A and updates B^-1 by a rank-1 step. Phase 1 starts from
+    A's fixed-width columns and updates B^-1 by a rank-1 step. Phase 1 starts from
     `start`, len(b) columns of [A S] (column n + k is row k's artificial)
     whose basic solution is nonnegative up to feas_tol, or else from the
     all-artificial basis. Returns (status, v, iterations, message); status
@@ -309,21 +307,19 @@ class MotLp:
             raise InputError(f"instance too large: {m}x{n} > {MAX_VARIABLES} variables")
         if self.sense not in ("min", "max"):
             raise InputError("sense must be 'min' or 'max'")
-        if self.p <= 0:
-            raise InputError("cost exponent must be positive")
+        if not 0.0 < self.p < np.inf:
+            raise InputError(f"cost exponent p={self.p} must be positive and finite")
         xpos, ypos = mu.positions.reshape(m, d), nu.positions.reshape(n, d)
         diff = xpos[:, None, :] - ypos[None, :, :]
         C = (np.abs(diff[..., 0]) if d == 1 else np.linalg.norm(diff, axis=2)) ** self.p
 
-        # column i*n + j has rows i, m + j, m + n + i*d + k; exact zeros are dropped
+        # column i*n + j has 1 in rows i and m + j and y_j[k] in row m + n + d*i + k
         ii, jj = np.divmod(np.arange(m * n), n)
-        row = np.column_stack([ii, m + jj, m + n + d * ii[:, None] + np.arange(d)])
-        val = np.column_stack([np.ones((m * n, 2)), ypos[jj]])
-        nz = val.ravel() != 0
-        A = Nonzeros(row.ravel()[nz], np.repeat(np.arange(m * n), 2 + d)[nz],
-                     val.ravel()[nz], (m + n + d * m, m * n))
+        A = Nonzeros(np.vstack([ii, m + jj, m + n + d * ii + np.arange(d)[:, None]]),
+                     np.vstack([np.ones((2, m * n)), ypos[jj].T]),
+                     (m + n + d * m, m * n))
         b = np.concatenate([mu.masses, nu.masses, (xpos * mu.masses[:, None]).ravel()])
-        for arr in (A.row, A.col, A.val, b, C):
+        for arr in (A.row, A.val, b, C):
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -380,7 +376,8 @@ def _support_cutoff(prob: MotLp) -> float:
 
 def _gated_residual(prob: MotLp, v: np.ndarray, solve: str) -> float:
     """Max-abs residual of A v = b; past the gate, SolverFailureError."""
-    Av = np.bincount(prob.A.row, weights=prob.A.val * v[prob.A.col], minlength=len(prob.b))
+    Av = np.bincount(prob.A.row.ravel(), weights=(prob.A.val * v).ravel(),
+                     minlength=len(prob.b))
     resid = float(np.abs(Av - prob.b).max())
     if resid > RESIDUAL_RTOL * max(1.0, float(np.abs(prob.b).max())):
         raise SolverFailureError(f"{solve} failed: feasibility residual {resid:.3e}",

@@ -336,8 +336,8 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def cost(pi: Coupling, p: float) -> float:
     """Transport cost sum(mass * |x-y|^p); Euclidean distance for dim>1."""
-    if p <= 0:
-        raise InputError("cost exponent must be positive")
+    if not 0.0 < p < np.inf:
+        raise InputError(f"cost exponent p={p} must be positive and finite")
     if len(pi) == 0:
         return 0.0
     if pi.dim == 1:
@@ -430,8 +430,7 @@ def _json_rows(fh, columns):
 def coupling_from_dict(doc: dict):
     try:
         entries = doc["entries"]
-        pi = Coupling.from_entries(entries) if entries else Coupling(
-            np.zeros(0), np.zeros(0), np.zeros(0))
+        pi = Coupling.from_entries(entries)
         maps = None
         if doc.get("maps"):
             maps = TransportMaps(*np.asarray(doc["maps"], dtype=float).T)

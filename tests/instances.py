@@ -218,8 +218,10 @@ def split_grid_instance(seed, eighths=False):
 
 
 def scipy_matrix(A):
-    """The constraint matrix held as nonzeros, as a scipy sparse matrix."""
-    return coo_matrix((A.val, (A.row, A.col)), shape=A.shape).tocsr()
+    """The constraint matrix held as fixed-width columns, as a scipy sparse
+    matrix."""
+    col = np.broadcast_to(np.arange(A.shape[1]), A.row.shape)
+    return coo_matrix((A.val.ravel(), (A.row.ravel(), col.ravel())), shape=A.shape).tocsr()
 
 
 def split_grid_failure(seed, eighths=False, scale=1.0):

@@ -141,6 +141,18 @@ class TestSolve:
         assert lines[0] == "x,S,T,lambda_minus,lambda_plus"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("route", ["lp", "none"])
+    def test_maps_csv_only_from_the_sweep(self, route, pair_file, tmp_path, capsys):
+        # the maps are the sweep's; the lp and none routes write no file
+        if route == "none":
+            atoms = {"type": "discrete", "atoms": [[0.0, 1.0]]}
+            pair_file = tmp_path / "same.json"
+            pair_file.write_text(json.dumps({"mu": atoms, "nu": atoms}))
+        csv = tmp_path / "m.csv"
+        assert main(["solve", str(pair_file), "--method", "lp", "--maps-csv", str(csv)]) == 0
+        assert capsys.readouterr().out.startswith(f"method={route} ")
+        assert not csv.exists()
+
 
 class TestSolveRadial:
     def test_costs_agree(self, radial_file, tmp_path, capsys):

@@ -16,9 +16,10 @@ from instances import (overlapping_instance, ring_directions, ring_instance,
 
 
 def nonzeros(dense: np.ndarray) -> Nonzeros:
-    """The sparse form of a small dense constraint matrix."""
-    col, row = np.nonzero(dense.T)
-    return Nonzeros(row, col, dense[row, col], dense.shape)
+    """A small dense constraint matrix in the fixed-width layout: slot s of
+    every column is row s."""
+    return Nonzeros(np.broadcast_to(np.arange(len(dense))[:, None], dense.shape),
+                    dense, dense.shape)
 
 
 class TestExamples:
@@ -390,8 +391,9 @@ class TestAssembly:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_nonzeros_match_dense_constraints(self, dim):
         # the row-sum, column-sum and barycenter rows written out densely:
-        # the stored nonzeros are exactly its nonzeros, sorted by column and
-        # then by row, so a nu atom at a zero coordinate stores nothing there
+        # column i*n + j stores rows i, m + j and m + n + d*i + k in its
+        # 2 + d slots, so a nu atom at a zero coordinate keeps its slot
+        # with an explicit 0
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, (3, dim))
         y = rng.uniform(-2.0, 2.0, (4, dim))
@@ -409,12 +411,50 @@ class TestAssembly:
             b[i] = mu.masses[i]
             b[7 + dim * i:7 + dim * (i + 1)] = xs[i] * mu.masses[i]
         b[3:7] = nu.masses
-        col, row = np.nonzero(dense.T)
         A = prob.A
+        ii, jj = np.divmod(np.arange(12), 4)
         assert A.shape == dense.shape
-        assert np.array_equal(A.row, row) and np.array_equal(A.col, col)
-        assert np.array_equal(A.val, dense[row, col])
+        assert A.row.shape == A.val.shape == (2 + dim, 12)
+        assert np.array_equal(A.row, np.vstack([ii, 3 + jj, 7 + dim * ii
+                                                + np.arange(dim)[:, None]]))
+        densified = np.zeros(A.shape)
+        np.add.at(densified, (A.row, np.arange(12)), A.val)
+        assert np.array_equal(densified, dense)
+        zero = ys[jj, 0] == 0.0
+        assert zero.sum() == 3 and np.all(A.val[2, zero] == 0.0)
         assert np.array_equal(prob.b, b)
+
+    def test_basis_operations_match_dense_columns(self):
+        # d = 2 with a nu atom at a zero coordinate. The start's cells form
+        # a spanning tree of the transport rows, so row 0's artificial can
+        # complete it; its padding slots point at row 0 too, so a slot
+        # assigned (not accumulated) into B would zero its sign
+        mu = DiscreteMeasure([[-1.0, 0.0], [1.0, 0.5]], [0.5, 0.5], dim=2)
+        nu = DiscreteMeasure([[-2.0, 0.0], [0.0, 1.0], [2.0, -1.0]],
+                             [0.25, 0.2, 0.55], dim=2)
+        prob = MotLp(mu, nu, 1.0)
+        m, n = 2, 3
+        start = prob.start.copy()
+        start[m + n - 1] = m * n
+        B = _Basis(prob.A, prob.b, start, _feas_tol(prob))
+        sign = B.val[0, m * n:]
+        assert np.array_equal(np.abs(sign), np.ones(len(prob.b)))
+        full = np.hstack([scipy_matrix(prob.A).toarray(), np.diag(sign)])
+        y = np.random.default_rng(3).normal(size=len(prob.b))
+        self._assert_matches(B, full, y)
+        # deleting row 0 with the position of its artificial keeps B^-1 exact
+        B.drop([m + n - 1])
+        B.refactorize()
+        self._assert_matches(B, full[1:], y[1:])
+
+    @staticmethod
+    def _assert_matches(B, full, y):
+        """B's basis matrix, pricing and entering columns against the
+        dense [A S] `full`."""
+        assert np.abs(B.inv @ full[:, B.basis] - np.eye(len(full))).max() <= 1e-15
+        assert np.abs(B.price(y) - y @ full).max() <= 1e-15
+        for q in range(full.shape[1]):
+            assert np.abs(B.column(q) - B.inv @ full[:, q]).max() <= 1e-15
 
 
 class TestInputContracts:
@@ -429,6 +469,15 @@ class TestInputContracts:
         from motkit import InputError
         with pytest.raises(InputError):
             MotLp(DiscreteMeasure.empty(), DiscreteMeasure([0.0], [1.0]), 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf")])
+    def test_exponent_outside_positive_finite_rejected(self, p):
+        from motkit import InputError
+        mu = DiscreteMeasure([0.0], [1.0])
+        nu = DiscreteMeasure([-2.0, 2.0], [0.5, 0.5])
+        with pytest.raises(InputError, match="positive and finite"):
+            solve_lp(mu, nu, p)
+        assert solve_lp(mu, nu, 2.0).objective == pytest.approx(4.0, abs=1e-12)
 
     def test_probe_requires_feasible_base(self):
         mu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])

@@ -247,6 +247,13 @@ class TestPreconditions:
         with pytest.raises(NotInConvexOrderError):
             solve(mu, nu, 1.0, method="sweep")
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf")])
+    def test_cost_rejects_exponent_outside_positive_finite(self, p):
+        pi = Coupling.from_entries([(0.0, 1.0, 1.0)])
+        with pytest.raises(InputError, match="positive and finite"):
+            cost(pi, p)
+        assert cost(pi, 2.0) == 1.0
+
 
 class TestSeparationDetection:
     def test_detects_gap(self):
@@ -286,6 +293,13 @@ class TestSerialization:
         path.write_text(json.dumps({"rows": []}))
         with pytest.raises(InputError):
             read_coupling_json(path)
+
+    def test_empty_entries_read_as_empty_coupling(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"cost": 0.0, "entries": [], "maps": None}))
+        pi, c, maps = read_coupling_json(path)
+        assert len(pi) == 0 and pi.dim == 1
+        assert c == 0.0 and maps is None
 
 
 GRID = 64   # positions are multiples of 1/GRID, so shifts by 1e3 and 1e6 are exact
