@@ -7,9 +7,11 @@ atoms (y_j, nu_j) are constrained by
     column sums     sum_i pi[i, j]          = nu_j          (n rows)
     row barycenters sum_j y_j[k] pi[i, j]   = x_i[k] mu_i   (d*m rows)
 
-and the objective is sum pi[i, j] |x_i - y_j|^p. Every constraint column
-has its 2 + d entries in rows i, m + j and m + n + d*i + k, so A is stored
-as fixed-width columns (Nonzeros): one (2 + d, m*n) array of rows and one of
+and the objective is sum pi[i, j] |x_i - y_j|^p. MotLp states the LP in
+units where mu weighs 1, mu's mean is 0 and the largest cost is 1, so every
+tolerance of the simplex is a constant. Every constraint column has its
+2 + d entries in rows i, m + j and m + n + d*i + k, so A is stored as
+fixed-width columns (Nonzeros): one (2 + d, m*n) array of rows and one of
 values, an exact zero kept in its slot. The system is solved by a
 self-contained revised two-phase simplex over one basis object: it keeps
 only the basis inverse B^-1 and the basic values, prices the columns slot by
@@ -17,7 +19,7 @@ slot, forms the entering column alone and updates B^-1 by a rank-1 step, so
 a pivot costs O(rows^2 + nnz(A)) time and memory (Dantzig pricing and
 Harris's ratio test, with a Bland's-rule fallback once the objective
 stalls); B^-1 is recomputed from the basic columns after every rows-many
-updates. A and b are kept as given: each row's artificial column carries
+updates. A and b are used as given: each row's artificial column carries
 the sign that makes its basic value nonnegative. Phase 1 starts from the
 north-west-corner coupling of the marginals sorted by first coordinate
 (MotLp.start), which meets every row and column sum, so only the barycenter
@@ -39,9 +41,12 @@ from .errors import InputError, SolverFailureError
 from .measures import POSITION_TOL, DiscreteMeasure, _as_rows
 from .mot1d import Coupling
 
+# tolerances in the LP's units (mu's mass 1, largest cost 1)
 PIVOT_TOL = 1e-9
-FEAS_TOL_FACTOR = 1e-8     # phase-1 residual threshold, times total mass
-RESIDUAL_RTOL = 1e-9       # feasibility residual gate on reported optima
+FEAS_TOL = 2e-8            # phase-1 residual; the start's basic values
+SUPPORT_TOL = 2e-12        # entries at or below this are outside a support
+RESIDUAL_TOL = 1e-9        # feasibility residual gate on reported optima
+HARRIS_TOL = 1e-12         # Harris's window on basic values
 MAX_VARIABLES = 250_000
 
 
@@ -67,13 +72,13 @@ class _Basis:
     columns, or else every artificial. B^-1 is factorized on it once, and
     each basic artificial that comes out negative has its sign, its row of
     B^-1 and its value negated; the other basic values are nonnegative up
-    to -tol, which is clipped to 0, and a lower value raises
+    to -FEAS_TOL, which is clipped to 0, and a lower value raises
     SolverFailureError. B^-1 is updated by rank-1 steps and recomputed from
     the basic columns after every len(basis) of them, so rounding does not
     grow with the pivot count.
     """
 
-    def __init__(self, A: Nonzeros, b: np.ndarray, start=None, tol: float = 0.0):
+    def __init__(self, A: Nonzeros, b: np.ndarray, start=None):
         m, self.n = A.shape
         self.width = self.n + m
         self.b = b
@@ -88,7 +93,7 @@ class _Basis:
         self.inv[flip] *= -1
         self.x[flip] *= -1
         low = float(self.x.min())
-        if low < -tol:
+        if low < -FEAS_TOL:
             raise SolverFailureError(f"start basis has a basic value {low:.3e} < 0")
         self.x[self.x < 0] = 0.0
 
@@ -165,17 +170,15 @@ def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
     rule the row of lowest basic index leaves among those tied at the
     minimum ratio. Otherwise the ratio test is Harris's (Math. Programming,
     1973): the window of tied rows widens to every ratio at most the least
-    (x_i + h) / u_i, h = 1e-12 * max(1, max|b|) on the scale of the
-    residual gate, and the row with the largest pivot element in it leaves,
-    which keeps degenerate steps off near-zero pivots. Basic values can end
-    a little below 0 (down to -2h on the split-grid family at mass scales 1
-    and 1e6); values() clips them. The step is not clamped at 0: that
-    breaks B v = b until the next refactorization, and it failed 3 more
-    solves of that family at mass scale 1e-6.
+    (x_i + HARRIS_TOL) / u_i, and the row with the largest pivot element in
+    it leaves, which keeps degenerate steps off near-zero pivots. Basic
+    values can end a little below 0 (down to -2 * HARRIS_TOL on the
+    split-grid family); values() clips them. The step is not clamped at 0:
+    that breaks B v = b until the next refactorization, and it failed 3
+    more solves of that family.
     """
     maxiter = max(2000, 25 * B.width)
     stall_limit = 10 * B.width
-    harris = 1e-12 * max(1.0, float(np.abs(B.b).max()))
     bland = False
     stall = 0
     best = np.inf
@@ -200,7 +203,7 @@ def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
         best_ratio = ratios.min()
         thresh = best_ratio + 1e-12 * max(1.0, abs(best_ratio))
         if not bland:
-            thresh = max(thresh, float(((x_pos + harris) / u_pos).min()))
+            thresh = max(thresh, float(((x_pos + HARRIS_TOL) / u_pos).min()))
         ties = pos[ratios <= thresh]
         row = int(ties[np.argmin(B.basis[ties])] if bland else ties[np.argmax(u[ties])])
         B.pivot(row, col, u)
@@ -215,18 +218,17 @@ def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
     raise SolverFailureError(f"{phase} ended with maxiter")
 
 
-def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray,
-                     feas_tol: float, start=None):
+def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None):
     """simplex_solve, plus the _Basis at the optimum (None when infeasible)."""
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    B = _Basis(A, b, start, feas_tol)
+    B = _Basis(A, b, start)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     it1, bland1 = _run_phase(B, phase1_cost, "phase 1")
     phase1_obj = float(phase1_cost[B.basis] @ B.x)
-    if phase1_obj > feas_tol:
+    if phase1_obj > FEAS_TOL:
         return "infeasible", None, it1, f"phase-1 residual {phase1_obj:.3e}", None
 
     # Drive leftover artificial variables out of the basis; a row where no
@@ -247,27 +249,33 @@ def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray,
     return "optimal", B.values(), it1 + it2, msg, B
 
 
-def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray,
-                  feas_tol: float, start=None):
+def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None):
     """min c@v subject to A v = b, v >= 0 (revised two-phase simplex).
 
-    Only the basis inverse and the basic values are kept; each pivot prices
-    A's fixed-width columns and updates B^-1 by a rank-1 step. Phase 1 starts from
-    `start`, len(b) columns of [A S] (column n + k is row k's artificial)
-    whose basic solution is nonnegative up to feas_tol, or else from the
-    all-artificial basis. Returns (status, v, iterations, message); status
-    is optimal, or infeasible when phase 1 leaves a residual above
-    feas_tol. Redundant equality rows are dropped after phase 1. On an
-    optimal solve the message says whether Bland's rule was switched on.
-    An unbounded phase, one that reaches its iteration limit and a
-    singular basis raise SolverFailureError.
+    The tolerances are constants for b and c of order 1, as MotLp states
+    them. Only the basis inverse and the basic values are kept; each pivot
+    prices A's fixed-width columns and updates B^-1 by a rank-1 step. Phase
+    1 starts from `start`, len(b) columns of [A S] (column n + k is row k's
+    artificial) whose basic solution is nonnegative up to FEAS_TOL, or else
+    from the all-artificial basis. Returns (status, v, iterations, message);
+    status is optimal, or infeasible when phase 1 leaves a residual above
+    FEAS_TOL. Redundant equality rows are dropped after phase 1. On an
+    optimal solve the message says whether Bland's rule was switched on. An
+    unbounded phase, one that reaches its iteration limit and a singular
+    basis raise SolverFailureError.
     """
-    return _revised_simplex(A, b, c, feas_tol, start)[:4]
+    return _revised_simplex(A, b, c, start)[:4]
 
 
 @dataclass(frozen=True)
 class MotLp:
     """Assembled LP data for a martingale transport instance.
+
+    A, b and objective_vector() are the LP in its own units: masses over
+    mass_unit, mu's mass; positions about mu's mean, over max(1, their
+    largest coordinate distance from it), as the atom rule is absolute;
+    costs over cost_unit, the largest (or 1). C keeps the input's costs: an
+    optimum v is the coupling matrix mass_unit * v, of cost C . that matrix.
 
     `start` is a phase-1 basis for simplex_solve built from the marginals:
     the north-west-corner coupling of mu against nu, both sorted by first
@@ -280,11 +288,11 @@ class MotLp:
     one on each of the d*m barycenter rows complete the basis, which is
     block triangular [[T, 0], [Y, I]] with T nonsingular. The same start
     serves both senses. It is None when the total masses differ by more
-    than the feasibility tolerance: such pairs are infeasible, and phase 1
-    from the artificials certifies that. Without this rule a cell of the
-    tree goes negative by up to the mass difference (down to -3.9 on spread
-    pairs whose nu masses were scaled by 0.5 to 5); with it, by at most the
-    feasibility tolerance, which _Basis clips.
+    than FEAS_TOL: such pairs are infeasible, and phase 1 from the
+    artificials certifies that. Without this rule a cell of the tree goes
+    negative by up to the mass difference (down to -3.9 on spread pairs
+    whose nu masses were scaled by 0.5 to 5); with it, by at most FEAS_TOL,
+    which _Basis clips.
     """
 
     mu: DiscreteMeasure
@@ -295,6 +303,8 @@ class MotLp:
     b: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
     start: np.ndarray | None = field(init=False, repr=False)
+    mass_unit: float = field(init=False, repr=False)
+    cost_unit: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mu, nu = self.mu, self.nu
@@ -312,20 +322,26 @@ class MotLp:
         xpos, ypos = mu.positions.reshape(m, d), nu.positions.reshape(n, d)
         diff = xpos[:, None, :] - ypos[None, :, :]
         C = (np.abs(diff[..., 0]) if d == 1 else np.linalg.norm(diff, axis=2)) ** self.p
+        mass_unit = mu.total_mass()
+        w, v = mu.masses / mass_unit, nu.masses / mass_unit
+        centre = w @ xpos
+        xs, ys = xpos - centre, ypos - centre
+        spread = max(1.0, float(np.abs(xs).max()), float(np.abs(ys).max()))
+        xs, ys = xs / spread, ys / spread
 
         # column i*n + j has 1 in rows i and m + j and y_j[k] in row m + n + d*i + k
         ii, jj = np.divmod(np.arange(m * n), n)
         A = Nonzeros(np.vstack([ii, m + jj, m + n + d * ii + np.arange(d)[:, None]]),
-                     np.vstack([np.ones((2, m * n)), ypos[jj].T]),
+                     np.vstack([np.ones((2, m * n)), ys[jj].T]),
                      (m + n + d * m, m * n))
-        b = np.concatenate([mu.masses, nu.masses, (xpos * mu.masses[:, None]).ravel()])
+        b = np.concatenate([w, v, (xs * w[:, None]).ravel()])
         for arr in (A.row, A.val, b, C):
             arr.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "C", C)
+        for name, value in (("A", A), ("b", b), ("C", C), ("mass_unit", mass_unit),
+                            ("cost_unit", float(C.max()) or 1.0)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "start", self._start() if abs(
-            mu.total_mass() - nu.total_mass()) <= _feas_tol(self) else None)
+            w.sum() - v.sum()) <= FEAS_TOL else None)
 
     def _start(self) -> np.ndarray:
         mu, nu = self.mu, self.nu
@@ -348,8 +364,8 @@ class MotLp:
         return start
 
     def objective_vector(self) -> np.ndarray:
-        c = self.C.ravel()
-        return -c if self.sense == "max" else c.copy()
+        c = self.C.ravel() / self.cost_unit
+        return -c if self.sense == "max" else c
 
 
 @dataclass(frozen=True)
@@ -360,26 +376,17 @@ class LpSolution:
     coupling: Coupling | None
     objective: float | None
     matrix: np.ndarray | None
-    residuals: dict
+    residuals: dict                  # in the LP's units (mu's mass 1)
     iterations: int
     message: str = ""
 
 
-def _feas_tol(prob: MotLp) -> float:
-    return FEAS_TOL_FACTOR * max(1.0, prob.mu.total_mass() + prob.nu.total_mass())
-
-
-def _support_cutoff(prob: MotLp) -> float:
-    """Entries at or below this are outside a solution's support."""
-    return 1e-12 * max(1.0, prob.mu.total_mass() + prob.nu.total_mass())
-
-
 def _gated_residual(prob: MotLp, v: np.ndarray, solve: str) -> float:
-    """Max-abs residual of A v = b; past the gate, SolverFailureError."""
+    """Max-abs residual of A v = b; past RESIDUAL_TOL, SolverFailureError."""
     Av = np.bincount(prob.A.row.ravel(), weights=(prob.A.val * v).ravel(),
                      minlength=len(prob.b))
     resid = float(np.abs(Av - prob.b).max())
-    if resid > RESIDUAL_RTOL * max(1.0, float(np.abs(prob.b).max())):
+    if resid > RESIDUAL_TOL:
         raise SolverFailureError(f"{solve} failed: feasibility residual {resid:.3e}",
                                  residual=resid)
     return resid
@@ -387,16 +394,17 @@ def _gated_residual(prob: MotLp, v: np.ndarray, solve: str) -> float:
 
 def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
     """Gate a simplex result on its feasibility residual and read off the
-    coupling; a missed gate raises SolverFailureError."""
+    coupling in the input's units; a missed gate raises SolverFailureError."""
     if status == "infeasible":
         return LpSolution("infeasible", None, None, None, {}, iters, msg)
     residuals = {"feasibility": _gated_residual(prob, v, "LP")}
 
     mu, nu = prob.mu, prob.nu
     m, n = len(mu), len(nu)
-    mat = v.reshape(m, n)
+    v = v.reshape(m, n)
+    mat = prob.mass_unit * v
     objective = float(np.tensordot(prob.C, mat))
-    ii, jj = np.nonzero(mat > _support_cutoff(prob))
+    ii, jj = np.nonzero(v > SUPPORT_TOL)
     pi = Coupling(mu.positions[ii], nu.positions[jj], mat[ii, jj], dim=mu.dim)
     return LpSolution("optimal", pi, objective, mat, residuals, iters, msg)
 
@@ -410,7 +418,7 @@ def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     """
     prob = MotLp(mu, nu, p, sense)
     return _solution(prob, *simplex_solve(prob.A, prob.b, prob.objective_vector(),
-                                          _feas_tol(prob), prob.start))
+                                          prob.start))
 
 
 def diagonal_mass(sol: LpSolution) -> float:
@@ -427,27 +435,26 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool
     """Decide whether the LP optimum is unique.
 
     The optimal set is the feasible set restricted to the optimal face: the
-    columns whose reduced cost at the base optimum is at most
-    PIVOT_TOL * max(1, max|C|) (complementary slackness). The base optimum
+    columns whose reduced cost at the base optimum is at most PIVOT_TOL in
+    cost units (complementary slackness). The base optimum
     is a vertex, so its support columns are independent and it is the only
     optimizer iff no optimizer puts mass on a face column that the base
     leaves empty. One more phase on the base solve's basis, a feasible
     vertex of the face LP, maximizes that mass; columns off the face cost
     +inf and never enter. Returns True iff its maximizer coincides with the
-    base optimizer within 1e-7 entrywise. Both optimizers must pass the
+    base optimizer within 1e-7 of mu's mass entrywise. Both optimizers must pass the
     feasibility gate of solve_lp, or SolverFailureError is raised.
     """
     prob = MotLp(mu, nu, p)
     c = prob.objective_vector()
-    status, base_v, _, _, B = _revised_simplex(prob.A, prob.b, c, _feas_tol(prob),
-                                               prob.start)
+    status, base_v, _, _, B = _revised_simplex(prob.A, prob.b, c, prob.start)
     if status != "optimal":
         raise SolverFailureError(f"probe requires an optimal base solve, got {status}")
     _gated_residual(prob, base_v, "LP")
 
-    face = B.reduced_costs(c) <= PIVOT_TOL * max(1.0, float(np.abs(prob.C).max()))
+    face = B.reduced_costs(c) <= PIVOT_TOL
     face[B.basis] = True        # rounding must not price a basic column off the face
-    empty = base_v <= _support_cutoff(prob)
+    empty = base_v <= SUPPORT_TOL
     _run_phase(B, np.where(face, -empty.astype(float), np.inf), "face solve")
     v = B.values()
     _gated_residual(prob, v, "face solve")

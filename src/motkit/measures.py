@@ -25,6 +25,7 @@ atom positions, so evaluating it on the merged support is exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -174,16 +175,6 @@ class DiscreteMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", w)
-
-    @classmethod
-    def from_atoms(cls, atoms, dim: int = 1) -> "DiscreteMeasure":
-        """Build from an iterable of (position, mass) pairs."""
-        atoms = list(atoms)
-        if not atoms:
-            return cls.empty(dim)
-        pos = np.asarray([a[0] for a in atoms], dtype=float)
-        w = np.asarray([a[1] for a in atoms], dtype=float)
-        return cls(pos, w, dim)
 
     @classmethod
     def empty(cls, dim: int = 1) -> "DiscreteMeasure":
@@ -367,9 +358,34 @@ def common_mass_split(mu: DiscreteMeasure, nu: DiscreteMeasure):
 #   {"type": "grid", "lo": a, "hi": b, "n": n, "values": [...]}
 # ---------------------------------------------------------------------------
 
+def spec_numbers(value, name: str, width: int | None = None) -> np.ndarray:
+    """A spec file's list of JSON numbers as floats or, with `width`, its
+    list of rows of exactly `width` numbers as an (n, width) array. Every
+    reader of marginal, radial and coupling files takes its numbers here:
+    a string, a boolean, null or a row of another length is an InputError,
+    not a number."""
+    if type(value) is not list:
+        raise InputError(f"{name} must be a list, got {value!r}")
+    items = value
+    if width is not None:
+        if not (set(map(type, value)) <= {list} and set(map(len, value)) <= {width}):
+            bad = next(row for row in value if type(row) is not list or len(row) != width)
+            raise InputError(f"each of {name} must be {width} numbers, got {bad!r}")
+        items = list(itertools.chain.from_iterable(value))
+    # json.load gives int and float for numbers; bool is a type of its own
+    if not set(map(type, items)) <= {int, float}:
+        bad = next(v for v in items if type(v) not in (int, float))
+        raise InputError(f"{name} must hold numbers only, got {bad!r}")
+    try:
+        numbers = np.array(items, dtype=float)
+    except OverflowError as exc:
+        raise InputError(f"{name}: {exc}") from None
+    return numbers if width is None else numbers.reshape(len(value), width)
+
+
 def parse_int(value, name: str) -> int:
     """An integral spec-file number; a fractional one is an error, not cut."""
-    number = float(value)
+    number = float(spec_numbers([value], name)[0])
     if not number.is_integer():
         raise InputError(f"{name} must be an integer, got {value!r}")
     return int(number)
@@ -379,10 +395,12 @@ def _marginal_from_dict(d: dict):
     try:
         kind = d["type"]
         if kind == "discrete":
-            return DiscreteMeasure.from_atoms(d["atoms"])
+            atoms = spec_numbers(d["atoms"], "atoms", 2)
+            return DiscreteMeasure(atoms[:, 0], atoms[:, 1])
         if kind == "grid":
-            return GridDensity(float(d["lo"]), float(d["hi"]),
-                               parse_int(d["n"], "grid n"), d["values"])
+            lo, hi = spec_numbers([d["lo"], d["hi"]], "grid lo and hi")
+            return GridDensity(float(lo), float(hi), parse_int(d["n"], "grid n"),
+                               spec_numbers(d["values"], "grid values"))
     except InputError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import InputError, SolverFailureError
 # convex_order_check is not called here; perfbench/tracing.py's PATCHES rebinds it
 from .measures import (POSITION_TOL, DiscreteMeasure, _ranges,  # noqa: F401
-                       convex_order_check, group_atoms, nearest_atom)
+                       convex_order_check, group_atoms, nearest_atom, spec_numbers)
 
 # Remaining atom slivers below this fraction of the total mass are absorbed
 # by the frontier consumptions, so exact-exhaustion roots do not leave dust
@@ -284,7 +284,7 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
     cells), and a row of mass m_i is exact only to about 32 * eps * T / m_i
     relative (3e-7 on that pair's lightest cell, 9e-10 of T = 3).
     """
-    snap = SNAP_FRACTION * max(1.0, nu.total_mass())
+    snap = SNAP_FRACTION * nu.total_mass()
     # moments about the interval's centre, so that a large common offset of
     # the positions does not cancel in the gap
     c = 0.5 * (interval.a + interval.b)
@@ -429,11 +429,10 @@ def _json_rows(fh, columns):
 
 def coupling_from_dict(doc: dict):
     try:
-        entries = doc["entries"]
-        pi = Coupling.from_entries(entries)
+        pi = Coupling(*spec_numbers(doc["entries"], "entries", 3).T.copy())
         maps = None
         if doc.get("maps"):
-            maps = TransportMaps(*np.asarray(doc["maps"], dtype=float).T)
+            maps = TransportMaps(*spec_numbers(doc["maps"], "maps", 5).T)
         return pi, doc.get("cost"), maps
     except InputError:
         raise

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
-from .measures import DiscreteMeasure, GridDensity, group_atoms, parse_int, quantize
+from .measures import (DiscreteMeasure, GridDensity, group_atoms, parse_int, quantize,
+                       spec_numbers)
 from .mot1d import Coupling, TransportMaps, cost, reflection_residual
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import (common_mass_split, convex_order_check,  # noqa: F401
@@ -323,10 +324,10 @@ def _radial_from_dict(d: dict, dim: int):
     try:
         kind = d["type"]
         if kind == "radial-grid":
-            return RadialProfile(dim, d["r"], d["f"])
+            return RadialProfile(dim, spec_numbers(d["r"], "r"), spec_numbers(d["f"], "f"))
         if kind == "radial-atoms":
-            atoms = d["atoms"]
-            return RadialAtoms(dim, [a[0] for a in atoms], [a[1] for a in atoms])
+            atoms = spec_numbers(d["atoms"], "atoms", 2)
+            return RadialAtoms(dim, atoms[:, 0], atoms[:, 1])
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"malformed radial marginal: {exc}") from exc
     raise InputError(f"unknown radial marginal type {kind!r}")

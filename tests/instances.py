@@ -228,14 +228,14 @@ def split_grid_failure(seed, eighths=False, scale=1.0):
     """Why solve_lp(mu, nu, 1.0, "max") misses on split_grid_instance(seed,
     eighths) with every mass times `scale`, or None when it is optimal and
     within 1e-9 relative of `scale` times the HiGHS optimum of the unscaled
-    pair."""
+    pair (HiGHS solves MotLp's LP, so its optimum is in MotLp's units)."""
     mu, nu = split_grid_instance(seed, eighths)
     prob = MotLp(mu, nu, 1.0, "max")
     ref = linprog(prob.objective_vector(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
                   bounds=(0, None), method="highs")
     if ref.status != 0:
         return f"HiGHS status {ref.status}"
-    target = -scale * ref.fun
+    target = -scale * prob.mass_unit * prob.cost_unit * ref.fun
     try:
         sol = solve_lp(DiscreteMeasure(mu.positions, scale * mu.masses, dim=mu.dim),
                        DiscreteMeasure(nu.positions, scale * nu.masses, dim=nu.dim),

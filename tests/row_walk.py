@@ -143,7 +143,7 @@ def row_walk_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise InputError("mu is empty")
     if np.any(mu.positions <= interval.a) or np.any(mu.positions >= interval.b):
         raise SeparationError("mu has mass outside the open separation interval")
-    snap = SNAP_FRACTION * max(1.0, nu.total_mass())
+    snap = SNAP_FRACTION * nu.total_mass()
     lower, upper = _frontiers(nu, interval, snap)
     order_tol = max(tol, MASS_TOL)
     report = convex_order_check(mu, nu, tol=order_tol)

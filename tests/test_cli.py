@@ -384,6 +384,63 @@ class TestMalformedInput:
                      "--marginals", pair_file]) == 2
 
 
+PAIR_DOC = {"mu": {"type": "discrete", "atoms": [[0.0, 1.0]]},
+            "nu": {"type": "discrete", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}}
+ENTRIES = [[0.0, -1.0, 0.5], [0.0, 1.0, 0.5]]
+RADIAL_DOC = {"dim": 2, "mu": {"type": "radial-grid", "r": [0.0, 1.0], "f": [1.0 / np.pi]},
+              "nu": {"type": "radial-atoms", "atoms": [[2.0, 1.0]]}}
+
+
+class TestStrictNumbers:
+    """Atoms are exactly 2 JSON numbers, coupling entries exactly 3 and map
+    rows exactly 5; grid values, r and f hold numbers only. Strings and
+    booleans are not numbers. Each file below was read without a word, and
+    its command exited 0, before the readers checked this."""
+
+    @staticmethod
+    def _write(tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_clean_files_exit_zero(self, tmp_path):
+        pair = self._write(tmp_path, "pair.json", PAIR_DOC)
+        pi = self._write(tmp_path, "pi.json", {"entries": ENTRIES, "cost": None})
+        assert main(["check-order", pair]) == 0
+        assert main(["verify", "--coupling", pi, "--marginals", pair]) == 0
+        assert main(["solve-radial", self._write(tmp_path, "r.json", RADIAL_DOC)]) == 0
+
+    def test_atom_of_three_numbers_exit_two(self, tmp_path):
+        doc = {**PAIR_DOC, "mu": {"type": "discrete", "atoms": [[0.0, 1.0, 99]]}}
+        pair = self._write(tmp_path, "pair.json", doc)
+        assert main(["check-order", pair]) == 2
+        assert main(["solve", pair]) == 2
+
+    @pytest.mark.parametrize("entry", [[0.0, 1.0, 0.5, 7], [0.0, "1.0", 0.5],
+                                       [0.0, True, 0.5]],
+                             ids=["four-numbers", "string", "boolean"])
+    def test_entry_exit_two(self, entry, tmp_path):
+        pair = self._write(tmp_path, "pair.json", PAIR_DOC)
+        pi = self._write(tmp_path, "pi.json",
+                         {"entries": [ENTRIES[0], entry], "cost": None})
+        assert main(["verify", "--coupling", pi, "--marginals", pair]) == 2
+
+    @pytest.mark.parametrize("where, value", [
+        ("grid values", ["1.0", 1.0]), ("r", [0.0, True]), ("f", ["1.0"]),
+        ("radial atom", [[2.0, 1.0, 0.0]])])
+    def test_list_of_numbers_only_exit_two(self, where, value, tmp_path):
+        if where == "grid values":
+            doc = {**PAIR_DOC, "mu": {"type": "grid", "lo": -0.5, "hi": 0.5, "n": 2,
+                                      "values": value}}
+            assert main(["check-order", self._write(tmp_path, "g.json", doc)]) == 2
+            return
+        if where == "radial atom":
+            doc = {**RADIAL_DOC, "nu": {"type": "radial-atoms", "atoms": value}}
+        else:
+            doc = {**RADIAL_DOC, "mu": {**RADIAL_DOC["mu"], where: value}}
+        assert main(["solve-radial", self._write(tmp_path, "r.json", doc)]) == 2
+
+
 class TestImports:
     def test_cli_and_lp_do_not_import_scipy(self):
         # scipy.optimize alone adds tens of MB and about half a second to

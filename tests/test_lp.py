@@ -7,8 +7,7 @@ from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
                     SolverFailureError, common_mass_split, cost, detect_separation,
                     diagonal_mass, solve_lp, solve_radial, uniqueness_probe,
                     validate_coupling)
-from motkit.lp import (RESIDUAL_RTOL, Nonzeros, _Basis, _feas_tol,
-                       simplex_solve)
+from motkit.lp import RESIDUAL_TOL, Nonzeros, _Basis, simplex_solve
 from motkit.mot1d import solve_sweep
 from instances import (overlapping_instance, ring_directions, ring_instance,
                        rotation_2d, scipy_matrix, separated_instance, shell_atoms,
@@ -54,7 +53,7 @@ class TestAgainstScipy:
                           bounds=(0, None), method="highs")
             sol = solve_lp(mu, nu, p)
             assert sol.status == "optimal" and ref.status == 0
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
+            assert sol.objective == pytest.approx(prob.mass_unit * ref.fun, abs=1e-8)
 
     def test_objective_matches_highs_40x80(self):
         for seed in range(2):
@@ -64,7 +63,7 @@ class TestAgainstScipy:
                           bounds=(0, None), method="highs")
             sol = solve_lp(mu, nu, 1.0)
             assert sol.status == "optimal" and ref.status == 0
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
+            assert sol.objective == pytest.approx(prob.mass_unit * ref.fun, abs=1e-8)
 
     def test_infeasibility_matches_highs(self):
         rng = np.random.default_rng(43)
@@ -107,7 +106,7 @@ class TestFeasibilityAndDuality:
         ref = linprog(-prob.C.ravel(), A_eq=scipy_matrix(prob.A), b_eq=prob.b,
                       bounds=(0, None), method="highs")
         sol = solve_lp(mu, nu, 0.5, sense="max")
-        assert sol.objective == pytest.approx(-ref.fun, abs=1e-8)
+        assert sol.objective == pytest.approx(-prob.mass_unit * ref.fun, abs=1e-8)
 
 
 class TestRevisedSimplex:
@@ -122,8 +121,7 @@ class TestRevisedSimplex:
         # a repeated (scaled) row, and a row stated with negative sign
         A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, -1.0, -1.0]])
         b = np.array([1.0, 2.0, -1.0])
-        status, v, _, _ = simplex_solve(nonzeros(A), b, np.array([1.0, 3.0, 1.0]),
-                                        1e-8)
+        status, v, _, _ = simplex_solve(nonzeros(A), b, np.array([1.0, 3.0, 1.0]))
         assert status == "optimal"
         assert np.allclose(v, [1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
 
@@ -137,7 +135,7 @@ class TestRevisedSimplex:
                       [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         b = np.array([0.0, 0.0, 1.0])
         c = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
-        status, v, _, msg = simplex_solve(nonzeros(A), b, c, 1e-8, start=[4, 5, 6])
+        status, v, _, msg = simplex_solve(nonzeros(A), b, c, start=[4, 5, 6])
         assert status == "optimal"
         assert msg == "Bland's rule switched on in phase 2"
         assert np.abs(A @ v - b).max() <= 1e-12 and v.min() >= 0.0
@@ -155,19 +153,22 @@ class TestRevisedSimplex:
         assert split_grid_failure(seed, eighths) is None
 
     @pytest.mark.parametrize("eighths,seed,scale", [
-        (False, 121, 1e-6), (True, 435, 1e-6), (False, 228, 1e6), (True, 131, 1e6)])
+        (False, 121, 1e-6), (True, 435, 1e-6), (True, 193, 1e-6),
+        (False, 228, 1e6), (True, 131, 1e6)])
     def test_degenerate_ties_at_any_mass_scale(self, eighths, seed, scale):
-        # every mass times 1e-6 or 1e6: Harris's window is 1e-12 *
-        # max(1, max|b|), like the residual gate; with 1e-12 alone it is
-        # shut at 1e6, and seed 228 misses the gate (residual 1.2e-3) and
-        # eighths seed 131 reaches a singular basis
+        # every mass times 1e-6 or 1e6: MotLp divides the masses by mu's,
+        # so the simplex sees the same LP. With Harris's window and the
+        # residual gate absolute below unit mass, eighths seed 193 missed
+        # the gate at 1e-6 (residual 4.8e-9); with the window absolute at
+        # every scale, seed 228 missed it at 1e6 (residual 1.2e-3) and
+        # eighths seed 131 reached a singular basis
         assert split_grid_failure(seed, eighths, scale) is None
 
     def test_unbounded_lp_raises(self):
         # v0 = v1 with v0 unbounded above: phase 2 finds no leaving row
         with pytest.raises(SolverFailureError, match="phase 2 ended with unbounded"):
             simplex_solve(nonzeros(np.array([[1.0, -1.0]])), np.array([0.0]),
-                          np.array([-1.0, 0.0]), 1e-8)
+                          np.array([-1.0, 0.0]))
 
     def test_refactorized_residuals_40x80(self):
         # rounding must not grow with the pivot count: B^-1 is recomputed
@@ -225,7 +226,7 @@ class TestStart:
         assert np.linalg.cond(full[:, start]) < 1e8
         assert x[:m + n - 1].min() >= -1e-15           # the coupling cells
         assert abs(x[m + n - 1]) <= 1e-15              # balanced transport rows
-        B = _Basis(prob.A, prob.b, start, _feas_tol(prob))
+        B = _Basis(prob.A, prob.b, start)
         assert B.x.min() >= 0.0
         assert np.abs(B.x - np.abs(x)).max() <= 1e-15
 
@@ -233,7 +234,7 @@ class TestStart:
         mu, nu = _balanced_pairs()["d1-spread"]
         prob = MotLp(mu, nu, 1.0)
         m, n = len(mu), len(nu)
-        B = _Basis(prob.A, prob.b, prob.start, _feas_tol(prob))
+        B = _Basis(prob.A, prob.b, prob.start)
         v = np.zeros(m * n + len(prob.b))
         v[B.basis] = B.x
         quantile = np.zeros((m, n))
@@ -278,15 +279,16 @@ class TestStart:
                 assert sol.status == "infeasible" and ref.status == 2
             else:
                 assert sol.status == "optimal" and ref.status == 0
+                unit = prob.mass_unit * prob.cost_unit
                 sign = -1.0 if sense == "max" else 1.0
-                assert sol.objective == pytest.approx(sign * ref.fun, abs=1e-8)
+                assert sol.objective == pytest.approx(sign * unit * ref.fun, abs=1e-8)
 
     def test_start_needs_fewer_pivots_40x80(self):
         for seed in range(2):
             mu, nu = spread_pair_instance(np.random.default_rng([73, seed]), 40)
             for src, tgt in ((mu, nu), (nu, mu)):
                 prob = MotLp(src, tgt, 1.0)
-                args = (prob.A, prob.b, prob.objective_vector(), _feas_tol(prob))
+                args = (prob.A, prob.b, prob.objective_vector())
                 plain = simplex_solve(*args)
                 started = simplex_solve(*args, prob.start)
                 assert started[0] == plain[0]
@@ -352,18 +354,18 @@ class TestUniquenessProbe:
 
     def test_every_solve_passes_feasibility_gate(self, monkeypatch):
         gate = motkit.lp._gated_residual
-        scaled_residuals = []
+        residuals = []
 
         def checked(prob, v, solve):
             resid = gate(prob, v, solve)
-            scaled_residuals.append(resid / max(1.0, float(np.abs(prob.b).max())))
+            residuals.append(resid)
             return resid
 
         monkeypatch.setattr(motkit.lp, "_gated_residual", checked)
         mu, nu = spread_pair_instance(np.random.default_rng([777, 19]), 20)
         assert uniqueness_probe(mu, nu, 1.0)
-        assert len(scaled_residuals) == 2      # the base and the face optimum
-        assert max(scaled_residuals) <= RESIDUAL_RTOL
+        assert len(residuals) == 2      # the base and the face optimum
+        assert max(residuals) <= RESIDUAL_TOL
 
     def test_segment_of_optimizers_not_unique(self):
         mu = DiscreteMeasure([-2.0, 0.0], [0.5, 0.5])
@@ -390,38 +392,41 @@ class TestUniquenessProbe:
 class TestAssembly:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_nonzeros_match_dense_constraints(self, dim):
-        # the row-sum, column-sum and barycenter rows written out densely:
-        # column i*n + j stores rows i, m + j and m + n + d*i + k in its
-        # 2 + d slots, so a nu atom at a zero coordinate keeps its slot
-        # with an explicit 0
+        # the row-sum, column-sum and barycenter rows written out densely in
+        # the LP's units: masses over mu's (exactly 1 here) and positions
+        # about mu's mean c (exactly (0.25, 0) here) over s, the largest
+        # coordinate distance from c or 1. Column i*n + j stores rows i,
+        # m + j and m + n + d*i + k in its 2 + d slots, so a nu atom at c's
+        # first coordinate keeps its slot with an explicit 0
         rng = np.random.default_rng(5)
-        x = rng.uniform(-1.0, 1.0, (3, dim))
+        x = np.array([[-0.75, 0.5], [0.25, -0.25], [0.5, 0.0], [1.0, -0.25]])[:, :dim]
         y = rng.uniform(-2.0, 2.0, (4, dim))
-        y[0, 0] = 0.0
-        mu = DiscreteMeasure(x.squeeze(1) if dim == 1 else x, np.full(3, 1 / 3), dim=dim)
-        nu = DiscreteMeasure(y.squeeze(1) if dim == 1 else y, np.full(4, 1 / 4), dim=dim)
+        y[0, 0] = 0.25
+        mu = DiscreteMeasure(x.squeeze(1) if dim == 1 else x, np.full(4, 0.25), dim=dim)
+        nu = DiscreteMeasure(y.squeeze(1) if dim == 1 else y, np.full(4, 0.25), dim=dim)
         prob = MotLp(mu, nu, 1.0)
-        xs, ys = mu.positions.reshape(3, dim), nu.positions.reshape(4, dim)
-        dense = np.zeros((3 + 4 + 3 * dim, 12))
-        b = np.zeros(len(dense))
-        for i in range(3):
+        xs, ys = mu.positions.reshape(4, dim), nu.positions.reshape(4, dim)
+        c = np.array([0.25, 0.0])[:dim]
+        s = max(1.0, np.abs(xs - c).max(), np.abs(ys - c).max())
+        dense = np.zeros((4 + 4 + 4 * dim, 16))
+        b = np.full(len(dense), 0.25)
+        for i in range(4):
             for j in range(4):
-                dense[[i, 3 + j], 4 * i + j] = 1.0
-                dense[7 + dim * i:7 + dim * (i + 1), 4 * i + j] = ys[j]
-            b[i] = mu.masses[i]
-            b[7 + dim * i:7 + dim * (i + 1)] = xs[i] * mu.masses[i]
-        b[3:7] = nu.masses
+                dense[[i, 4 + j], 4 * i + j] = 1.0
+                dense[8 + dim * i:8 + dim * (i + 1), 4 * i + j] = (ys[j] - c) / s
+            b[8 + dim * i:8 + dim * (i + 1)] = (xs[i] - c) / s * 0.25
         A = prob.A
-        ii, jj = np.divmod(np.arange(12), 4)
+        ii, jj = np.divmod(np.arange(16), 4)
+        assert prob.mass_unit == 1.0
         assert A.shape == dense.shape
-        assert A.row.shape == A.val.shape == (2 + dim, 12)
-        assert np.array_equal(A.row, np.vstack([ii, 3 + jj, 7 + dim * ii
+        assert A.row.shape == A.val.shape == (2 + dim, 16)
+        assert np.array_equal(A.row, np.vstack([ii, 4 + jj, 8 + dim * ii
                                                 + np.arange(dim)[:, None]]))
         densified = np.zeros(A.shape)
-        np.add.at(densified, (A.row, np.arange(12)), A.val)
+        np.add.at(densified, (A.row, np.arange(16)), A.val)
         assert np.array_equal(densified, dense)
-        zero = ys[jj, 0] == 0.0
-        assert zero.sum() == 3 and np.all(A.val[2, zero] == 0.0)
+        zero = ys[jj, 0] == 0.25
+        assert zero.sum() == 4 and np.all(A.val[2, zero] == 0.0)
         assert np.array_equal(prob.b, b)
 
     def test_basis_operations_match_dense_columns(self):
@@ -436,7 +441,7 @@ class TestAssembly:
         m, n = 2, 3
         start = prob.start.copy()
         start[m + n - 1] = m * n
-        B = _Basis(prob.A, prob.b, start, _feas_tol(prob))
+        B = _Basis(prob.A, prob.b, start)
         sign = B.val[0, m * n:]
         assert np.array_equal(np.abs(sign), np.ones(len(prob.b)))
         full = np.hstack([scipy_matrix(prob.A).toarray(), np.diag(sign)])

@@ -152,11 +152,11 @@ class TestLpInfeasibleAfterOrderCheck:
         assert main(["solve-radial", str(radial)]) == 1
 
 
-def _failed_simplex(A, b, c, feas_tol, start=None):
+def _failed_simplex(A, b, c, start=None):
     raise SolverFailureError("phase 1 ended with maxiter")
 
 
-def _zero_optimum(A, b, c, feas_tol, start=None):
+def _zero_optimum(A, b, c, start=None):
     return "optimal", np.zeros(A.shape[1]), 0, ""
 
 

@@ -8,8 +8,8 @@ from scipy import stats
 from motkit import (DiscreteMeasure, InputError, RadialAtoms, RadialProfile,
                     cost, induce_1d, induced_atoms, l_symmetrize_2d, quantize,
                     r_equivalent, reflection_residual, rotate_pushforward,
-                    sample_lifted, solve_lp, solve_radial, unit_sphere_area,
-                    validate_coupling)
+                    sample_lifted, solve_lp, solve_radial, symmetrize_coupling,
+                    unit_sphere_area, validate_coupling)
 from motkit.mot1d import Coupling
 from motkit.radial import load_radial_pair
 from instances import ring_instance, rotation_2d
@@ -25,6 +25,29 @@ def ball_profile(radius=1.0, cells=40):
     density = 3.0 / (4.0 * np.pi * radius ** 3)
     return RadialProfile(3, np.linspace(0.0, radius, cells + 1),
                          np.full(cells, density))
+
+
+class TestSymmetrizeCoupling:
+    def test_asymmetric_coupling_averaged_with_its_mirror(self):
+        pi = Coupling.from_entries([(1.0, 2.0, 0.5), (-1.0, -2.0, 0.25), (0.0, 0.0, 0.1),
+                                    (-1.0, 1.0, 0.125), (0.5, 1.5, 0.3)])
+        out = symmetrize_coupling(pi)
+        assert reflection_residual(out) == 0.0
+        assert out.total_mass() == pytest.approx(pi.total_mass(), rel=1e-15)
+        assert np.array_equal(np.lexsort((out.ys, out.xs)), np.arange(len(out)))
+        mass = {(x, y): w for x, y, w in pi.entries()}
+        assert len(out) == 7
+        for x, y, w in out.entries():
+            assert w == 0.5 * (mass.get((x, y), 0.0) + mass.get((-x, -y), 0.0))
+
+    def test_symmetric_sorted_coupling_unchanged(self):
+        pi = Coupling.from_entries([(-1.0, -2.0, 0.3), (-1.0, 1.0, 0.1), (0.0, -1.0, 0.2),
+                                    (0.0, 0.0, 0.7), (0.0, 1.0, 0.2), (1.0, -1.0, 0.1),
+                                    (1.0, 2.0, 0.3)])
+        out = symmetrize_coupling(pi)
+        for name in ("xs", "ys", "masses"):
+            assert np.array_equal(getattr(out, name), getattr(pi, name))
+            assert getattr(out, name).tobytes() == getattr(pi, name).tobytes()
 
 
 class TestInduce:
