@@ -21,7 +21,7 @@ from .mot1d import (check_exponent, cost, read_coupling_json,
                     write_coupling_json, write_induced_csv, write_maps_csv)
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import common_mass_split, detect_separation, solve, solve_sweep  # noqa: F401
-from .radial import load_radial_pair, sample_lifted, solve_radial
+from .radial import lift_summary, load_radial_pair, sample_lifted, solve_radial
 from .verify import (check_decreasing, curve_is_constant,
                      curve_is_strictly_decreasing, deformation_curve,
                      detect_forbidden, random_deformation_instance,
@@ -81,22 +81,7 @@ def cmd_solve_radial(args) -> int:
     print(f"cost_1d={c1!r} cost_ddim={cd!r}")
     if args.samples:
         x, y = sample_lifted(lifted, args.samples, args.seed)
-        delta = y - x
-        se = delta.std(axis=0, ddof=1) / np.sqrt(args.samples)
-        mean_in_se = np.abs(delta.mean(axis=0)) / np.where(se > 0, se, 1.0)
-        radii = np.linalg.norm(x, axis=1)
-        base = lifted.base
-        edges = np.linspace(0.0, float(np.abs(base.xs).max()) * 1.0001, 9)
-        expect, _ = np.histogram(np.abs(base.xs), bins=edges, weights=base.masses)
-        expect = expect / base.total_mass()
-        got, _ = np.histogram(radii, bins=edges)
-        got = got / args.samples
-        summary = {
-            "samples": args.samples,
-            "martingale_mean_max_se": float(mean_in_se.max()),
-            "annulus_max_gap": float(np.abs(got - expect).max()),
-        }
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(lift_summary(lifted.base, x, y), sort_keys=True))
     return EXIT_OK
 
 

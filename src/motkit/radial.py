@@ -55,16 +55,21 @@ class RadialProfile:
         f = np.asarray(self.values, dtype=float)
         if self.dim < 2:
             raise InputError("radial profiles require dim >= 2")
-        if len(r) < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
-            raise InputError("radius grid must be 0 = r0 < ... < rK")
+        # nan fails diff > 0, so only an infinite rK is left to refuse
+        if (len(r) < 2 or r[0] != 0.0 or not np.all(np.diff(r) > 0)
+                or not np.isfinite(r[-1])):
+            raise InputError("radius grid must be finite, 0 = r0 < ... < rK")
         if len(f) != len(r) - 1 or np.any(f < 0) or np.any(~np.isfinite(f)):
             raise InputError("need one finite nonnegative value per cell")
         r.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", f)
-        if self.total_mass() <= 0:
-            raise InputError("profile has zero total mass")
+        # r^d can overflow, and 0 * inf is nan: both make the mass not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = self.total_mass()
+        if not 0 < mass < np.inf:
+            raise InputError(f"profile mass must be finite and positive, got {mass!r}")
 
     def total_mass(self) -> float:
         s = unit_sphere_area(self.dim)
@@ -226,11 +231,23 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
     return lifted, lifted.cost_1d(p)
 
 
+GUIDE_CELLS = 4  # guide-table cells per entry, before rounding up to a power of two
+
+
 def sample_lifted(lc: LiftedCoupling, count: int, seed: int):
     """Draw (X, Y) pairs from the lifted coupling; deterministic per seed.
 
-    Returns arrays of shape (count, dim). Directions are normalized Gaussian
-    vectors, i.e. uniform on the sphere.
+    Returns arrays of shape (count, dim). Entries are drawn by exact inverse
+    CDF, the draw `rng.choice(len(base), size=count, p=weights)` makes: with
+    `cdf = cumsum(weights)`, `cdf /= cdf[-1]` and `u = rng.random(count)`, a
+    draw takes entry `cdf.searchsorted(u, "right")`. A guide table answers
+    that search (Chen & Asau, AIIE Trans. 1974). K = `cells`, a power of
+    two at least GUIDE_CELLS times the entry count, splits [0, 1) into cells
+    [k/K, (k+1)/K); u·K is exact, so each draw finds its own cell. With
+    `g[k] = cdf.searchsorted(k / K, "right")`, a draw in a cell with
+    g[k] == g[k+1] takes g[k]. Only draws in the other cells (at most one
+    cell per entry) are searched. Directions are normalized Gaussian
+    vectors, i.e. uniform on the sphere, read from the same stream after u.
     """
     if count < 1:
         raise InputError("count must be >= 1")
@@ -239,12 +256,70 @@ def sample_lifted(lc: LiftedCoupling, count: int, seed: int):
         raise InputError("empty coupling")
     rng = np.random.default_rng(seed)
     weights = base.masses / base.masses.sum()
-    idx = rng.choice(len(base), size=count, p=weights)
-    u = rng.normal(size=(count, lc.dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    x = base.xs[idx, None] * u
-    y = base.ys[idx, None] * u
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    cells = 1 << (GUIDE_CELLS * len(cdf) - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(cells + 1) / cells, "right")
+    one_entry = np.where(guide[:-1] == guide[1:], guide[:-1], -1)
+    idx = one_entry[(u * cells).astype(np.intp)]
+    searched = np.flatnonzero(idx < 0)
+    idx[searched] = cdf.searchsorted(u[searched], "right")
+    direction = rng.normal(size=(count, lc.dim))
+    direction /= row_norms(direction)[:, None]
+    x = base.xs[idx, None] * direction
+    y = base.ys[idx, None] * direction
     return x, y
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(a, axis=1)` of an (N, d) array, bit for bit.
+
+    numpy sums a row of fewer than 8 squares in order, so adding the squared
+    columns in order gives the same sums without a reduction per row; from 8
+    columns on numpy sums pairwise, and its norm is used.
+    """
+    if a.shape[1] >= 8:
+        return np.linalg.norm(a, axis=1)
+    squares = a[:, 0] * a[:, 0]
+    for col in a.T[1:]:
+        squares += col * col
+    return np.sqrt(squares)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=0)` of an (N, d) array, bit for bit: numpy keeps one
+    running sum per column down the rows, as `cumsum` does."""
+    return np.array([np.cumsum(col)[-1] for col in a.T])
+
+
+def lift_summary(base: Coupling, x: np.ndarray, y: np.ndarray) -> dict:
+    """The Monte Carlo check that `solve-radial --samples` prints for draws
+    (x, y) of the lift of `base`.
+
+    `martingale_mean_max_se`: the largest |mean| of a coordinate of y - x,
+    in standard errors (sample std with ddof 1, over sqrt(count)).
+    `annulus_max_gap`: the largest gap between the share of the draws and
+    the share of base's mass in each of 8 equal annuli of |x| up to 1.0001
+    times the largest |source|. The means and deviations are summed in the
+    order of numpy's axis-0 mean and std.
+    """
+    count = len(x)
+    delta = y - x
+    mean = _column_sums(delta) / count
+    dev = delta - mean
+    se = np.sqrt(_column_sums(dev * dev) / (count - 1)) / np.sqrt(count)
+    mean_in_se = np.abs(mean) / np.where(se > 0, se, 1.0)
+    edges = np.linspace(0.0, float(np.abs(base.xs).max()) * 1.0001, 9)
+    expect, _ = np.histogram(np.abs(base.xs), bins=edges, weights=base.masses)
+    expect = expect / base.total_mass()
+    got, _ = np.histogram(row_norms(x), bins=edges)
+    got = got / count
+    return {
+        "samples": count,
+        "martingale_mean_max_se": float(mean_in_se.max()),
+        "annulus_max_gap": float(np.abs(got - expect).max()),
+    }
 
 
 def rotation_group_2d(n: int = 360):

@@ -171,6 +171,25 @@ class TestSolveRadial:
         path.write_text(json.dumps(doc))
         assert main(["solve-radial", str(path)]) == 2
 
+    # json reads Infinity and NaN, and r^d or f r^d can overflow: no profile
+    # below has a finite mass, which once ran on with RuntimeWarnings into
+    # an error about an internal grid
+    @pytest.mark.parametrize("r, f", [
+        ([0.0, 1.0, float("inf")], [1.0, 1.0]),
+        ([0.0, float("nan"), 1.0], [1.0, 1.0]),
+        ([0.0, 1e200], [1.0]),
+        ([0.0, 1.0, 1e200], [1.0, 0.0]),
+        ([0.0, 1.0], [1e308]),
+    ], ids=["inf-radius", "nan-radius", "mass-overflow", "zero-times-inf", "value-overflow"])
+    def test_profile_without_finite_mass_exit_two(self, r, f, tmp_path, capsys):
+        doc = {"dim": 2, "mu": {"type": "radial-grid", "r": r, "f": f},
+               "nu": {"type": "radial-atoms", "atoms": [[2.0, 1.0]]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve-radial", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "radius grid" in err or "profile mass" in err
+
     def test_samples_summary(self, radial_file, capsys):
         assert main(["solve-radial", radial_file, "--n", "100",
                      "--samples", "20000", "--seed", "5"]) == 0
