@@ -21,7 +21,8 @@ from .mot1d import (check_exponent, cost, read_coupling_json,
                     write_coupling_json, write_induced_csv, write_maps_csv)
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import common_mass_split, detect_separation, solve, solve_sweep  # noqa: F401
-from .radial import lift_summary, load_radial_pair, sample_lifted, solve_radial
+# `sample_lifted` is not called here; perfbench/tracing.py's PATCHES rebinds it
+from .radial import lift_summary, load_radial_pair, sample_lifted, solve_radial  # noqa: F401
 from .verify import (check_decreasing, curve_is_constant,
                      curve_is_strictly_decreasing, deformation_curve,
                      detect_forbidden, random_deformation_instance,
@@ -80,8 +81,7 @@ def cmd_solve_radial(args) -> int:
         write_induced_csv(args.induced_csv, lifted.base)
     print(f"cost_1d={c1!r} cost_ddim={cd!r}")
     if args.samples:
-        x, y = sample_lifted(lifted, args.samples, args.seed)
-        print(json.dumps(lift_summary(lifted.base, x, y), sort_keys=True))
+        print(json.dumps(lift_summary(lifted, args.samples, args.seed), sort_keys=True))
     return EXIT_OK
 
 

@@ -39,7 +39,11 @@ def unit_sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d."""
     if d < 1:
         raise InputError("dimension must be >= 1")
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    try:
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError:  # Gamma(d/2) passes the largest float from d = 344 on
+        raise InputError(f"dimension {d} is too large: Gamma(d/2) in the unit "
+                         "sphere's area overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -232,13 +236,14 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
 
 
 GUIDE_CELLS = 4  # guide-table cells per entry, before rounding up to a power of two
+LIFT_CHUNK = 8192  # rows per block of draws; blocks of 2k-16k rows stay in cache
 
 
-def sample_lifted(lc: LiftedCoupling, count: int, seed: int):
-    """Draw (X, Y) pairs from the lifted coupling; deterministic per seed.
+def _lifted_blocks(lc: LiftedCoupling, count: int, seed: int):
+    """Draws (x, y) of the lifted coupling, LIFT_CHUNK rows at a time.
 
-    Returns arrays of shape (count, dim). Entries are drawn by exact inverse
-    CDF, the draw `rng.choice(len(base), size=count, p=weights)` makes: with
+    Entries are drawn by exact inverse CDF, the draw
+    `rng.choice(len(base), size=count, p=weights)` makes: with
     `cdf = cumsum(weights)`, `cdf /= cdf[-1]` and `u = rng.random(count)`, a
     draw takes entry `cdf.searchsorted(u, "right")`. A guide table answers
     that search (Chen & Asau, AIIE Trans. 1974). K = `cells`, a power of
@@ -248,6 +253,9 @@ def sample_lifted(lc: LiftedCoupling, count: int, seed: int):
     g[k] == g[k+1] takes g[k]. Only draws in the other cells (at most one
     cell per entry) are searched. Directions are normalized Gaussian
     vectors, i.e. uniform on the sphere, read from the same stream after u.
+    All of u is drawn first; each block then reads its normals from the
+    stream, which numpy fills in order, so the draws do not depend on
+    LIFT_CHUNK. Checks its arguments before it returns the generator.
     """
     if count < 1:
         raise InputError("count must be >= 1")
@@ -262,14 +270,28 @@ def sample_lifted(lc: LiftedCoupling, count: int, seed: int):
     cells = 1 << (GUIDE_CELLS * len(cdf) - 1).bit_length()
     guide = cdf.searchsorted(np.arange(cells + 1) / cells, "right")
     one_entry = np.where(guide[:-1] == guide[1:], guide[:-1], -1)
-    idx = one_entry[(u * cells).astype(np.intp)]
-    searched = np.flatnonzero(idx < 0)
-    idx[searched] = cdf.searchsorted(u[searched], "right")
-    direction = rng.normal(size=(count, lc.dim))
-    direction /= row_norms(direction)[:, None]
-    x = base.xs[idx, None] * direction
-    y = base.ys[idx, None] * direction
-    return x, y
+
+    def blocks():
+        for start in range(0, count, LIFT_CHUNK):
+            block = u[start:start + LIFT_CHUNK]
+            idx = one_entry[(block * cells).astype(np.intp)]
+            searched = np.flatnonzero(idx < 0)
+            idx[searched] = cdf.searchsorted(block[searched], "right")
+            direction = rng.normal(size=(len(block), lc.dim))
+            direction /= row_norms(direction)[:, None]
+            yield base.xs[idx, None] * direction, base.ys[idx, None] * direction
+
+    return blocks()
+
+
+def sample_lifted(lc: LiftedCoupling, count: int, seed: int):
+    """Draw (X, Y) pairs from the lifted coupling; deterministic per seed.
+
+    Returns arrays of shape (count, dim), the blocks of `_lifted_blocks`
+    stacked in order.
+    """
+    xs, ys = zip(*_lifted_blocks(lc, count, seed))
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -293,32 +315,40 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.array([np.cumsum(col)[-1] for col in a.T])
 
 
-def lift_summary(base: Coupling, x: np.ndarray, y: np.ndarray) -> dict:
-    """The Monte Carlo check that `solve-radial --samples` prints for draws
-    (x, y) of the lift of `base`.
+def lift_summary(lc: LiftedCoupling, count: int, seed: int) -> dict:
+    """The Monte Carlo check that `solve-radial --samples` prints for the
+    draws `sample_lifted(lc, count, seed)` makes.
 
     `martingale_mean_max_se`: the largest |mean| of a coordinate of y - x,
     in standard errors (sample std with ddof 1, over sqrt(count)).
     `annulus_max_gap`: the largest gap between the share of the draws and
     the share of base's mass in each of 8 equal annuli of |x| up to 1.0001
     times the largest |source|. The means and deviations are summed in the
-    order of numpy's axis-0 mean and std.
+    order of numpy's axis-0 mean and std. The draws are taken block by
+    block: only y - x is kept whole, and its deviations and their squares
+    overwrite it.
     """
-    count = len(x)
-    delta = y - x
-    mean = _column_sums(delta) / count
-    dev = delta - mean
-    se = np.sqrt(_column_sums(dev * dev) / (count - 1)) / np.sqrt(count)
-    mean_in_se = np.abs(mean) / np.where(se > 0, se, 1.0)
+    base = lc.base
+    blocks = _lifted_blocks(lc, count, seed)
     edges = np.linspace(0.0, float(np.abs(base.xs).max()) * 1.0001, 9)
+    delta = np.empty((count, lc.dim))
+    got = np.zeros(len(edges) - 1, dtype=np.int64)
+    start = 0
+    for x, y in blocks:  # run to the end, which frees the uniforms
+        np.subtract(y, x, out=delta[start:start + len(x)])
+        got += np.histogram(row_norms(x), bins=edges)[0]
+        start += len(x)
+    mean = _column_sums(delta) / count
+    delta -= mean
+    np.multiply(delta, delta, out=delta)
+    se = np.sqrt(_column_sums(delta) / (count - 1)) / np.sqrt(count)
+    mean_in_se = np.abs(mean) / np.where(se > 0, se, 1.0)
     expect, _ = np.histogram(np.abs(base.xs), bins=edges, weights=base.masses)
     expect = expect / base.total_mass()
-    got, _ = np.histogram(row_norms(x), bins=edges)
-    got = got / count
     return {
         "samples": count,
         "martingale_mean_max_se": float(mean_in_se.max()),
-        "annulus_max_gap": float(np.abs(got - expect).max()),
+        "annulus_max_gap": float(np.abs(got / count - expect).max()),
     }
 
 

@@ -190,6 +190,15 @@ class TestSolveRadial:
         err = capsys.readouterr().err
         assert "radius grid" in err or "profile mass" in err
 
+    def test_dimension_past_gamma_overflow_exit_two(self, tmp_path, capsys):
+        # Gamma(d/2) in the sphere's area overflows from d = 344 on; its
+        # OverflowError once ended the command with a traceback and exit 1
+        doc = {**RADIAL_DOC, "dim": 400}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve-radial", str(path)]) == 2
+        assert "dimension 400 is too large" in capsys.readouterr().err
+
     def test_samples_summary(self, radial_file, capsys):
         assert main(["solve-radial", radial_file, "--n", "100",
                      "--samples", "20000", "--seed", "5"]) == 0

@@ -2,14 +2,17 @@
 replaced.
 
 The oracles below are the sampler and the `solve-radial --samples` summary
-as they were before the guide table: `Generator.choice` with `p=` for the
-entries, `np.linalg.norm` for the directions and the radii, and the axis-0
-`mean` and `std` for the martingale check. Copied apart from the names.
-Every draw and both printed figures must equal the oracle's bit for bit.
+as they were before the guide table and the blocks of LIFT_CHUNK rows:
+`Generator.choice` with `p=` for the entries, one normal draw of all the
+directions, `np.linalg.norm` for the directions and the radii, and the
+axis-0 `mean` and `std` for the martingale check. Copied apart from the
+names. Every draw and both printed figures must equal the oracle's bit for
+bit.
 """
 
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from motkit import Coupling
 from motkit.cli import main
-from motkit.radial import (LiftedCoupling, RadialProfile, lift_summary,
+from motkit.radial import (LIFT_CHUNK, LiftedCoupling, RadialProfile, lift_summary,
                            load_radial_pair, row_norms, sample_lifted, solve_radial)
 
 
@@ -78,12 +81,17 @@ class TestAgainstOracle:
     @example(dim=2, entries=1, shape="spread", count=2, seed=0)
     @example(dim=4, entries=7000, shape="spread", count=100_000, seed=1)
     @example(dim=3, entries=7000, shape="one-heavy", count=100_000, seed=2)
+    # around the edges of the blocks the draws and the summary are taken in
+    @example(dim=3, entries=50, shape="spread", count=LIFT_CHUNK - 1, seed=3)
+    @example(dim=2, entries=50, shape="equal", count=LIFT_CHUNK, seed=4)
+    @example(dim=4, entries=50, shape="one-heavy", count=LIFT_CHUNK + 1, seed=5)
+    @example(dim=3, entries=3000, shape="spread", count=3 * LIFT_CHUNK + 5, seed=6)
     def test_draws_and_summary_equal(self, dim, entries, shape, count, seed):
         lc = lifted_coupling(dim, entries, shape, seed)
         x, y = sample_lifted(lc, count, seed)
         ox, oy = oracle_sample_lifted(lc, count, seed)
         assert np.array_equal(x, ox) and np.array_equal(y, oy)
-        summary = lift_summary(lc.base, x, y)
+        summary = lift_summary(lc, count, seed)
         expected = oracle_summary(lc.base, ox, oy, count)
         # equal as floats is not enough: -0.0 == 0.0, so compare the printed line
         assert json.dumps(summary, sort_keys=True) == json.dumps(expected, sort_keys=True)
@@ -95,6 +103,20 @@ class TestAgainstOracle:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-100.0, 100.0)
         assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
+
+    def test_summary_keeps_one_array_of_draws(self):
+        """The summary keeps y - x and the uniforms whole and the rest one
+        block at a time: 7.9 MB at this count, where keeping x, y and the
+        deviations whole took 25.6 MB."""
+        count, dim = 200_000, 3
+        lc = lifted_coupling(dim, 7000, "spread", 7)
+        tracemalloc.start()
+        try:
+            lift_summary(lc, count, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < count * (dim + 1) * 8 + 4 * 2 ** 20
 
     def test_solve_radial_stdout(self, tmp_path):
         """One `solve-radial --samples` call prints the oracle's bytes."""

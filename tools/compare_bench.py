@@ -4,10 +4,14 @@
         --seed 7 --out BENCH.json
 
 Each checkout is a directory holding `src/` and `perfbench/`. The script runs
-`perfbench/run.py --workload all --trace 0` at the benchmark's run length in
+`perfbench/run.py --workload W --trace 0` for each workload W of the
+benchmark, each in its own process, at the benchmark's run length in
 each checkout for PAIRS pairs, alternating which side runs first, and reports
 every end-to-end metric's median and quartiles per side, with the number of
-pairs the change won. The ladder then takes the benchmark's triangular pair
+pairs the change won. One process per workload, because on Linux a child's
+peak RSS starts from its parent's: run from one `--workload all` process,
+radial-lift would report the peak lp-oracle's scipy references left in
+`run.py`. The ladder then takes the benchmark's triangular pair
 at each size in LADDER and, per side, times `motkit.pipeline.solve` and
 `detect_forbidden` in-process and the `verify` command as a fresh process,
 REPEATS times each, reporting medians. Both sides run with one BLAS thread.
@@ -33,6 +37,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 HIGHER_IS_BETTER = {"1/s"}
 PAIRS = 10
 SECONDS = 30  # BENCHMARK.json run_seconds
+WORKLOADS = ("sweep-1d", "lp-oracle", "radial-lift")  # BENCHMARK.json workloads
 LADDER = (1000, 8000, 64000)
 REPEATS = 3
 
@@ -76,16 +81,23 @@ def side_env(root: Path) -> dict:
     return env
 
 
-def bench_argv(seed: int) -> list:
-    return ["perfbench/run.py", "--workload", "all", "--seed", str(seed),
+def bench_argv(workload: str, seed: int) -> list:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
 
 
 def bench_run(root: Path, seed: int) -> dict:
-    done = subprocess.run([sys.executable, *bench_argv(seed)],
-                          cwd=root, env=side_env(root), capture_output=True, text=True,
-                          check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    """One run of every workload, each in a fresh `run.py`, merged as
+    `--workload all` reports them: metrics named `<workload>.<metric>`."""
+    merged = {"failed": 0, "metrics": {}}
+    for workload in WORKLOADS:
+        done = subprocess.run([sys.executable, *bench_argv(workload, seed)],
+                              cwd=root, env=side_env(root), capture_output=True,
+                              text=True, check=True)
+        run = json.loads(done.stdout.strip().splitlines()[-1])
+        merged["failed"] += run["failed"]
+        merged["metrics"].update({f"{workload}.{k}": v for k, v in run["metrics"].items()})
+    return merged
 
 
 def quartiles(values: list) -> dict:
@@ -143,8 +155,10 @@ def main(argv=None) -> int:
               for n in LADDER}
 
     doc = {
-        "command": " ".join(["python3", "tools/compare_bench.py"] + (argv or sys.argv[1:])),
-        "bench_command": " ".join(["python3", *bench_argv(args.seed)]),
+        "command": (f"python3 tools/compare_bench.py --parent PARENT --change CHANGE "
+                    f"--seed {args.seed} --out {args.out.name}"),
+        "bench_command": " ".join(["python3", *bench_argv("W", args.seed)]),
+        "workloads": list(WORKLOADS),
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
