@@ -23,7 +23,7 @@ from .mot1d import (check_exponent, cost, read_coupling_json,
 from .pipeline import common_mass_split, detect_separation, solve, solve_sweep  # noqa: F401
 # `sample_lifted` is not called here; perfbench/tracing.py's PATCHES rebinds it
 from .radial import lift_summary, load_radial_pair, sample_lifted, solve_radial  # noqa: F401
-from .verify import (check_decreasing, curve_is_constant,
+from .verify import (DETECT_MASS_TOL, check_decreasing, curve_is_constant,
                      curve_is_strictly_decreasing, deformation_curve,
                      detect_forbidden, random_deformation_instance,
                      validate_coupling)
@@ -90,7 +90,7 @@ def cmd_verify(args) -> int:
     mu, nu = load_marginal_pair(args.marginals)
     mu, nu = as_discrete(mu), as_discrete(nu)
     rep = validate_coupling(pi, mu, nu)
-    forbidden = detect_forbidden(pi)
+    forbidden = detect_forbidden(pi, DETECT_MASS_TOL * rep.mass_unit)
     decreasing = None if maps is None else check_decreasing(maps)
     doc = {
         "forbidden": [c.as_tuple() for c in forbidden],

@@ -9,10 +9,10 @@ atoms (y_j, nu_j) are constrained by
 
 and the objective is sum pi[i, j] |x_i - y_j|^p. MotLp states the LP in
 units where mu weighs 1, mu's mean is 0 and the largest cost is 1, so every
-tolerance of the simplex is a constant. Every constraint column has its
-2 + d entries in rows i, m + j and m + n + d*i + k, so A is stored as
-fixed-width columns (Nonzeros): one (2 + d, m*n) array of rows and one of
-values, an exact zero kept in its slot. The system is solved by a
+tolerance of the simplex is a constant (times MotLp.tol_unit). Every
+constraint column has its 2 + d entries in rows i, m + j and m + n + d*i + k,
+so A is stored as fixed-width columns (Nonzeros): one (2 + d, m*n) array of
+rows and one of values, an exact zero kept in its slot. The system is solved by a
 self-contained revised two-phase simplex over one basis object: it keeps
 only the basis inverse B^-1 and the basic values, prices the columns slot by
 slot, forms the entering column alone and updates B^-1 by a rank-1 step, so
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, SolverFailureError
-from .measures import POSITION_TOL, DiscreteMeasure, _as_rows
+from .measures import POSITION_TOL, DiscreteMeasure, _as_rows, scale_of
 from .mot1d import Coupling
 
 # tolerances in the LP's units (mu's mass 1, largest cost 1)
@@ -78,7 +78,7 @@ class _Basis:
     grow with the pivot count.
     """
 
-    def __init__(self, A: Nonzeros, b: np.ndarray, start=None):
+    def __init__(self, A: Nonzeros, b: np.ndarray, start=None, feas_tol=FEAS_TOL):
         m, self.n = A.shape
         self.width = self.n + m
         self.b = b
@@ -93,7 +93,7 @@ class _Basis:
         self.inv[flip] *= -1
         self.x[flip] *= -1
         low = float(self.x.min())
-        if low < -FEAS_TOL:
+        if low < -feas_tol:
             raise SolverFailureError(f"start basis has a basic value {low:.3e} < 0")
         self.x[self.x < 0] = 0.0
 
@@ -218,17 +218,18 @@ def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
     raise SolverFailureError(f"{phase} ended with maxiter")
 
 
-def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None):
+def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None,
+                     feas_tol=FEAS_TOL):
     """simplex_solve, plus the _Basis at the optimum (None when infeasible)."""
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    B = _Basis(A, b, start)
+    B = _Basis(A, b, start, feas_tol)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     it1, bland1 = _run_phase(B, phase1_cost, "phase 1")
     phase1_obj = float(phase1_cost[B.basis] @ B.x)
-    if phase1_obj > FEAS_TOL:
+    if phase1_obj > feas_tol:
         return "infeasible", None, it1, f"phase-1 residual {phase1_obj:.3e}", None
 
     # Drive leftover artificial variables out of the basis; a row where no
@@ -249,33 +250,36 @@ def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None):
     return "optimal", B.values(), it1 + it2, msg, B
 
 
-def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None):
+def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None,
+                  feas_tol=FEAS_TOL):
     """min c@v subject to A v = b, v >= 0 (revised two-phase simplex).
 
     The tolerances are constants for b and c of order 1, as MotLp states
     them. Only the basis inverse and the basic values are kept; each pivot
     prices A's fixed-width columns and updates B^-1 by a rank-1 step. Phase
     1 starts from `start`, len(b) columns of [A S] (column n + k is row k's
-    artificial) whose basic solution is nonnegative up to FEAS_TOL, or else
+    artificial) whose basic solution is nonnegative up to feas_tol, or else
     from the all-artificial basis. Returns (status, v, iterations, message);
     status is optimal, or infeasible when phase 1 leaves a residual above
-    FEAS_TOL. Redundant equality rows are dropped after phase 1. On an
+    feas_tol. Redundant equality rows are dropped after phase 1. On an
     optimal solve the message says whether Bland's rule was switched on. An
     unbounded phase, one that reaches its iteration limit and a singular
     basis raise SolverFailureError.
     """
-    return _revised_simplex(A, b, c, start)[:4]
+    return _revised_simplex(A, b, c, start, feas_tol)[:4]
 
 
 @dataclass(frozen=True)
 class MotLp:
     """Assembled LP data for a martingale transport instance.
 
-    A, b and objective_vector() are the LP in its own units: masses over
-    mass_unit, mu's mass; positions about mu's mean, over max(1, their
-    largest coordinate distance from it), as the atom rule is absolute;
-    costs over cost_unit, the largest (or 1). C keeps the input's costs: an
-    optimum v is the coupling matrix mass_unit * v, of cost C . that matrix.
+    A, b and objective_vector() are the LP in the units of
+    `measures.scale_of(mu, nu)`: masses over mass_unit, mu's mass; positions
+    about mu's mean, over L; costs over cost_unit, the largest (or 1). C
+    keeps the input's costs: an optimum v is the coupling matrix
+    mass_unit * v, of cost C . that matrix. The feasibility gates (the
+    start's mass gap, FEAS_TOL, RESIDUAL_TOL) widen by tol_unit: `scale`'s
+    mass over mass_unit, for mu, nu the remainder of a pair of that scale.
 
     `start` is a phase-1 basis for simplex_solve built from the marginals:
     the north-west-corner coupling of mu against nu, both sorted by first
@@ -288,22 +292,24 @@ class MotLp:
     one on each of the d*m barycenter rows complete the basis, which is
     block triangular [[T, 0], [Y, I]] with T nonsingular. The same start
     serves both senses. It is None when the total masses differ by more
-    than FEAS_TOL: such pairs are infeasible, and phase 1 from the
+    than FEAS_TOL * tol_unit: such pairs are infeasible, and phase 1 from the
     artificials certifies that. Without this rule a cell of the tree goes
     negative by up to the mass difference (down to -3.9 on spread pairs
-    whose nu masses were scaled by 0.5 to 5); with it, by at most FEAS_TOL,
-    which _Basis clips.
+    whose nu masses were scaled by 0.5 to 5); with it, by at most the same
+    bound, which _Basis clips.
     """
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     p: float
     sense: str = "min"
+    scale: tuple | None = field(default=None, repr=False)
     A: Nonzeros = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
     start: np.ndarray | None = field(init=False, repr=False)
     mass_unit: float = field(init=False, repr=False)
+    tol_unit: float = field(init=False, repr=False)
     cost_unit: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -322,12 +328,10 @@ class MotLp:
         xpos, ypos = mu.positions.reshape(m, d), nu.positions.reshape(n, d)
         diff = xpos[:, None, :] - ypos[None, :, :]
         C = (np.abs(diff[..., 0]) if d == 1 else np.linalg.norm(diff, axis=2)) ** self.p
-        mass_unit = mu.total_mass()
+        mass_unit, centre, spread = scale_of(mu, nu)
+        tol_unit = self.scale[0] / mass_unit if self.scale else 1.0
         w, v = mu.masses / mass_unit, nu.masses / mass_unit
-        centre = w @ xpos
-        xs, ys = xpos - centre, ypos - centre
-        spread = max(1.0, float(np.abs(xs).max()), float(np.abs(ys).max()))
-        xs, ys = xs / spread, ys / spread
+        xs, ys = (xpos - centre) / spread, (ypos - centre) / spread
 
         # column i*n + j has 1 in rows i and m + j and y_j[k] in row m + n + d*i + k
         ii, jj = np.divmod(np.arange(m * n), n)
@@ -338,10 +342,10 @@ class MotLp:
         for arr in (A.row, A.val, b, C):
             arr.setflags(write=False)
         for name, value in (("A", A), ("b", b), ("C", C), ("mass_unit", mass_unit),
-                            ("cost_unit", float(C.max()) or 1.0)):
+                            ("tol_unit", tol_unit), ("cost_unit", float(C.max()) or 1.0)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "start", self._start() if abs(
-            w.sum() - v.sum()) <= FEAS_TOL else None)
+            w.sum() - v.sum()) <= FEAS_TOL * tol_unit else None)
 
     def _start(self) -> np.ndarray:
         mu, nu = self.mu, self.nu
@@ -382,11 +386,11 @@ class LpSolution:
 
 
 def _gated_residual(prob: MotLp, v: np.ndarray, solve: str) -> float:
-    """Max-abs residual of A v = b; past RESIDUAL_TOL, SolverFailureError."""
+    """Max-abs residual of A v = b; past RESIDUAL_TOL * tol_unit, SolverFailureError."""
     Av = np.bincount(prob.A.row.ravel(), weights=(prob.A.val * v).ravel(),
                      minlength=len(prob.b))
     resid = float(np.abs(Av - prob.b).max())
-    if resid > RESIDUAL_TOL:
+    if resid > RESIDUAL_TOL * prob.tol_unit:
         raise SolverFailureError(f"{solve} failed: feasibility residual {resid:.3e}",
                                  residual=resid)
     return resid
@@ -410,15 +414,15 @@ def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
 
 
 def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-             sense: str = "min") -> LpSolution:
+             sense: str = "min", scale=None) -> LpSolution:
     """Solve the discrete martingale transport LP to optimality.
 
     Infeasibility is equivalent to the marginals not being in convex order;
     a failed simplex or a missed residual gate raises SolverFailureError.
     """
-    prob = MotLp(mu, nu, p, sense)
+    prob = MotLp(mu, nu, p, sense, scale)
     return _solution(prob, *simplex_solve(prob.A, prob.b, prob.objective_vector(),
-                                          prob.start))
+                                          prob.start, FEAS_TOL * prob.tol_unit))
 
 
 def diagonal_mass(sol: LpSolution) -> float:

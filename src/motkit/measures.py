@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InputError
 
 POSITION_TOL = 1e-12   # absolute merge tolerance for atom positions
-MASS_TOL = 1e-10       # default tolerance on masses / call-function gaps
+MASS_TOL = 1e-10       # default order-check tolerance, in `scale_of`'s units
 
 
 def _as_rows(points) -> np.ndarray:
@@ -240,8 +240,8 @@ class OrderReport:
 
     The call-function gap often ties at its minimum up to rounding: on a
     separated pair it is exactly 0 at and beyond both ends of the support.
-    So worst_k is the leftmost strike whose gap is within the check's tol of
-    the minimum, and worst_gap is the minimum itself.
+    So worst_k is the leftmost strike whose gap is within the check's tol
+    (times M * L) of the minimum, and worst_gap is the minimum itself.
     """
 
     in_order: bool
@@ -249,6 +249,8 @@ class OrderReport:
     mean_gap: float      # nu first moment - mu first moment
     worst_k: float       # leftmost k whose gap is within tol of worst_gap
     worst_gap: float     # minimal call-function gap (negative = dominance violated)
+    mass_unit: float     # units of `scale_of`: masses are held to tol * M,
+    length_unit: float   # first moments and call gaps to tol * M * L
 
     def to_dict(self) -> dict:
         return {
@@ -261,9 +263,10 @@ class OrderReport:
 
     def failure(self, tol: float) -> str:
         """The first condition that fails at `tol`: mass, mean or call gap."""
-        for name, gap in (("mass", self.mass_gap), ("mean", self.mean_gap)):
-            if abs(gap) > tol:
-                return f"{name} gap {gap:.3e} exceeds tol {tol:.1e}"
+        for name, gap, unit in (("mass", self.mass_gap, self.mass_unit),
+                                ("mean", self.mean_gap, self.mass_unit * self.length_unit)):
+            if abs(gap) > tol * unit:
+                return f"{name} gap {gap:.3e} exceeds tol {tol * unit:.1e}"
         return f"call-function gap {self.worst_gap:.3e} at k={self.worst_k:.6g}"
 
 
@@ -294,20 +297,36 @@ def call_function(m: DiscreteMeasure, ks) -> np.ndarray:
     return s1[i] - (ks - c) * s0[i]
 
 
+def scale_of(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The units (M, centre, L) of every gate: mu's mass, mu's mean and
+    max(1, the largest coordinate distance of an atom from it), floored as
+    POSITION_TOL is absolute; (1, 0, 1) if mu is empty."""
+    if len(mu) == 0:
+        return 1.0, 0.0, 1.0
+    mass, d = mu.total_mass(), mu.dim
+    xpos, ypos = mu.positions.reshape(-1, d), nu.positions.reshape(-1, d)
+    centre = (mu.masses / mass) @ xpos
+    return mass, centre, max(1.0, float(np.abs(xpos - centre).max()),
+                             float(np.abs(ypos - centre).max(initial=0.0)))
+
+
 def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       tol: float = MASS_TOL) -> OrderReport:
+                       tol: float = MASS_TOL, scale=None) -> OrderReport:
     """Decide whether mu precedes nu in convex order (1-D only).
 
     Checks equal mass, equal mean, and call-function dominance at every kink
     of the piecewise-linear gap, i.e. at every atom position of either
-    measure. That finite set is exhaustive for atomic measures.
+    measure. That finite set is exhaustive for atomic measures. The units
+    M and L are `scale`'s, by default `scale_of(mu, nu)`.
     """
     if mu.dim != 1 or nu.dim != 1:
         raise InputError("convex order check requires dim=1 measures")
+    mass_unit, _, length_unit = scale or scale_of(mu, nu)
+    mass_tol, moment_tol = tol * mass_unit, tol * mass_unit * length_unit
     mass_gap = nu.total_mass() - mu.total_mass()
     ks = np.union1d(mu.positions, nu.positions)
     if len(ks) == 0:
-        return OrderReport(True, mass_gap, 0.0, 0.0, 0.0)
+        return OrderReport(True, mass_gap, 0.0, 0.0, 0.0, mass_unit, length_unit)
     # first moments about a common centre, summed exactly, so that a large
     # common offset of the positions does not cancel in the difference
     c = float(ks[len(ks) // 2])
@@ -316,10 +335,11 @@ def convex_order_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
                 + c * math.fsum(np.concatenate([nu.masses, -mu.masses])))
     gaps = call_function(nu, ks) - call_function(mu, ks)
     worst_gap = float(gaps.min())
-    worst = int(np.argmax(gaps <= worst_gap + tol))
-    in_order = (abs(mass_gap) <= tol and abs(mean_gap) <= tol
-                and worst_gap >= -tol)
-    return OrderReport(bool(in_order), mass_gap, mean_gap, float(ks[worst]), worst_gap)
+    worst = int(np.argmax(gaps <= worst_gap + moment_tol))
+    in_order = (abs(mass_gap) <= mass_tol and abs(mean_gap) <= moment_tol
+                and worst_gap >= -moment_tol)
+    return OrderReport(bool(in_order), mass_gap, mean_gap, float(ks[worst]), worst_gap,
+                       mass_unit, length_unit)
 
 
 def common_mass_split(mu: DiscreteMeasure, nu: DiscreteMeasure):

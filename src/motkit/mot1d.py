@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InputError, SolverFailureError
 # convex_order_check is not called here; perfbench/tracing.py's PATCHES rebinds it
-from .measures import (POSITION_TOL, DiscreteMeasure, _ranges,  # noqa: F401
+from .measures import (POSITION_TOL, DiscreteMeasure, _ranges, scale_of,  # noqa: F401
                        convex_order_check, group_atoms, nearest_atom, spec_numbers)
 
 # Remaining atom slivers below this fraction of the total mass are absorbed
@@ -268,13 +268,14 @@ def _map_state(t, side, boundary):
 
 
 def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                interval: SeparationInterval, tol: float = 1e-9):
+                interval: SeparationInterval, tol: float = 1e-9, scale=None):
     """Construct the optimal martingale coupling of a separated instance.
 
     Returns (Coupling, TransportMaps). `pipeline.solve` establishes the
     preconditions: 1-D, mu nonempty and inside the open interval, no nu atom
     in it, mu <= nu in convex order at `tol`. Raises only SolverFailureError
-    (a row not covered, a row barycenter off its gate, or nu left over).
+    (a row not covered, a row barycenter off its gate, or nu left over), in
+    the units of `scale`, by default `scale_of(mu, nu)`.
 
     Rounding is absolute, not relative to a row: a row's entries are
     differences of prefix consumptions, which are as large as the total
@@ -289,7 +290,7 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
     # the positions does not cancel in the gap
     c = 0.5 * (interval.a + interval.b)
     lower, upper = _frontiers(nu, interval, c)
-    pos_scale = max(1.0, float(np.abs(nu.positions).max(initial=0.0)))
+    mass_unit, _, length_unit = scale or scale_of(mu, nu)
     x, m = mu.positions, mu.masses
     tot_lo, tot_hi = lower[2][-1], upper[2][-1]
 
@@ -297,7 +298,7 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
     # lower consumptions that leave both frontiers able to cover M
     M = np.cumsum(m)
     lb, ub = np.maximum(0.0, M - tot_hi), np.minimum(M, tot_lo)
-    short = lb - ub > tol * np.maximum(1.0, m)
+    short = lb - ub > tol * mass_unit
     if short.any():
         i = int(np.argmax(short))
         raise SolverFailureError(
@@ -312,17 +313,17 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     # the row barycenter residual sum w (y - x), as `validate_coupling` has it
     resid = np.bincount(row, ws * (ys - x[row]), len(m))
-    allowed = tol * np.maximum(1.0, m * pos_scale)
+    allowed = tol * mass_unit * length_unit
     bad = np.abs(resid) > allowed
     if bad.any():
         i = int(np.argmax(bad))
         raise SolverFailureError(
-            f"row barycenter residual {resid[i]:.3e} exceeds {allowed[i]:.3e} "
+            f"row barycenter residual {resid[i]:.3e} exceeds {allowed:.3e} "
             f"at x={x[i]:.6g}", residual=float(resid[i]))
 
     leftover = (tot_lo - L_taken[-1]) + (tot_hi - U_taken[-1])
     imbalance = abs(nu.total_mass() - mu.total_mass())
-    if leftover > tol * (len(mu) + len(nu)) + imbalance:
+    if leftover > tol * mass_unit + imbalance:
         raise SolverFailureError(
             f"nu mass left unconsumed after sweep: {leftover:.3e}",
             residual=leftover)

@@ -207,8 +207,9 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
 
     Density marginals are quantized at n cells, and the induced pair goes
     through `pipeline.solve` at `tol`. A sweep coupling must be reflection-
-    symmetric; an LP coupling is symmetrized. An order failure is re-raised
-    with refinement advice, since quantization can break the convex order.
+    symmetric in `Solution.scale`'s units; an LP coupling, any optimal
+    corner, is symmetrized. An order failure is re-raised with refinement
+    advice, since quantization can break the convex order.
     """
     if n < 2:
         raise InputError("need n >= 2 quantization cells")
@@ -223,7 +224,8 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
             f"induced marginals: {exc}; refine the quantization (n={n}) or "
             "check the input profiles", report=exc.report) from exc
     if sol.route == "sweep":
-        resid = reflection_residual(sol.pi)
+        (M, _, L), pi = sol.scale, sol.pi
+        resid = reflection_residual(Coupling(pi.xs / L, pi.ys / L, pi.masses / M))
         if resid > 1e-9:
             raise SolverFailureError(
                 f"symmetric radial instance gave asymmetric coupling ({resid:.3e})",
@@ -309,12 +311,6 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=0)` of an (N, d) array, bit for bit: numpy keeps one
-    running sum per column down the rows, as `cumsum` does."""
-    return np.array([np.cumsum(col)[-1] for col in a.T])
-
-
 def lift_summary(lc: LiftedCoupling, count: int, seed: int) -> dict:
     """The Monte Carlo check that `solve-radial --samples` prints for the
     draws `sample_lifted(lc, count, seed)` makes.
@@ -338,10 +334,10 @@ def lift_summary(lc: LiftedCoupling, count: int, seed: int) -> dict:
         np.subtract(y, x, out=delta[start:start + len(x)])
         got += np.histogram(row_norms(x), bins=edges)[0]
         start += len(x)
-    mean = _column_sums(delta) / count
+    mean = delta.sum(axis=0) / count
     delta -= mean
     np.multiply(delta, delta, out=delta)
-    se = np.sqrt(_column_sums(delta) / (count - 1)) / np.sqrt(count)
+    se = np.sqrt(delta.sum(axis=0) / (count - 1)) / np.sqrt(count)
     mean_in_se = np.abs(mean) / np.where(se > 0, se, 1.0)
     expect, _ = np.histogram(np.abs(base.xs), bins=edges, weights=base.masses)
     expect = expect / base.total_mass()

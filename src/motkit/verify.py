@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .measures import DiscreteMeasure, group_atoms, nearest_atom
+from .measures import DiscreteMeasure, group_atoms, nearest_atom, scale_of
 from .mot1d import Coupling, TransportMaps, check_exponent
 
 DETECT_MASS_TOL = 1e-10
@@ -282,13 +282,17 @@ class ValidationReport:
     row_residual: float
     column_residual: float
     barycenter_residual: float
+    mass_unit: float     # M and L of `scale_of(mu, nu)`
+    length_unit: float
 
     def max_residual(self) -> float:
         return max(self.row_residual, self.column_residual,
                    self.barycenter_residual)
 
     def ok(self, tol: float) -> bool:
-        return self.max_residual() <= tol
+        """Marginal residuals within tol * M, the barycenter's within tol * M * L."""
+        return (max(self.row_residual, self.column_residual) <= tol * self.mass_unit
+                and self.barycenter_residual <= tol * self.mass_unit * self.length_unit)
 
     def to_dict(self) -> dict:
         return {
@@ -308,9 +312,10 @@ def validate_coupling(pi: Coupling, mu: DiscreteMeasure,
     to it, or the largest mass at one group of positions that matches no
     atom. Rows are the `group_atoms` groups of the sources.
     """
+    mass_unit, _, length_unit = scale_of(mu, nu)
     if len(pi) == 0:
         worst = max(mu.total_mass(), nu.total_mass())
-        return ValidationReport(worst, worst, 0.0)
+        return ValidationReport(worst, worst, 0.0, mass_unit, length_unit)
     resid = []
     for points, m in ((pi.xs, mu), (pi.ys, nu)):
         atom = nearest_atom(m.positions, points)
@@ -326,4 +331,4 @@ def validate_coupling(pi: Coupling, mu: DiscreteMeasure,
     ys = pi.ys.reshape(n, -1)[order]
     spread = pi.masses[order, None] * (ys - xs[starts][_row_of(starts, n)])
     bary = float(np.abs(np.add.reduceat(spread, starts)).max())
-    return ValidationReport(resid[0], resid[1], bary)
+    return ValidationReport(resid[0], resid[1], bary, mass_unit, length_unit)

@@ -7,17 +7,28 @@ base one, mirrored when alpha < 0, because atoms are kept in increasing
 order) and the cost becomes gamma |alpha|^p times the base cost. A shift
 by beta rounds the positions to the ulps of beta, so that case asks only
 for a successful solve of the same cost within 1e-8.
+
+The gates follow the instance's units (`measures.scale_of`): a mapped pair
+passes the order check and `validate_coupling(...).ok(1e-9)` as the base
+pair does, and an out-of-order pair fails the check at any mass scale.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from motkit import DiscreteMeasure, cost, coupling_matrix, solve, solve_lp
-from instances import separated_instance, spread_pair_instance
+from motkit import (DiscreteMeasure, NotInConvexOrderError, cost, coupling_matrix,
+                    detect_separation, solve, solve_lp, validate_coupling)
+from motkit.cli import main
+from motkit.mot1d import solve_sweep, write_coupling_json
+from instances import not_in_order_instance, separated_instance, spread_pair_instance
 
-# (alpha, gamma): each position scale and reflection, then each mass scale
+# (alpha, gamma): each position scale and reflection, then each mass scale,
+# then both together
 SCALINGS = ([(alpha, 1.0) for alpha in (1e-6, 1e-3, 1e3, 1e6, -1.0)]
-            + [(1.0, gamma) for gamma in (1e-8, 1e-4, 1e4)])
+            + [(1.0, gamma) for gamma in (1e-10, 1e-8, 1e-4, 1e4, 1e8, 1e12)]
+            + [(1e3, 1e4), (1e6, 1e4), (1e-6, 1e8), (1e6, 1e-10), (-1e3, 1e12)])
 BETAS = (1e3, 1e6)
 SEEDS = range(6)
 
@@ -72,3 +83,42 @@ def test_shift(route, beta, p):
         base_cost, _ = solver(mu, nu, p)
         got_cost, _ = solver(mapped(mu, beta=beta), mapped(nu, beta=beta), p)
         assert abs(got_cost - base_cost) <= 1e-8 * base_cost
+
+
+@pytest.mark.parametrize("alpha,gamma", SCALINGS)
+@pytest.mark.parametrize("route", list(CASES))
+def test_solve_validates_at_every_scale(route, alpha, gamma):
+    pair, _ = CASES[route]
+    for seed in SEEDS:
+        mu, nu = (mapped(m, alpha, gamma=gamma) for m in pair(seed))
+        sol = solve(mu, nu, 0.5)
+        assert sol.route == ("lp" if route == "lp" else "sweep")
+        assert validate_coupling(sol.coupling(), mu, nu).ok(1e-9)
+
+
+def tiny_out_of_order(seed):
+    """An out-of-order pair whose masses are all below 1e-10."""
+    mu, nu = not_in_order_instance(np.random.default_rng([97, seed]))
+    return mapped(mu, gamma=1e-10), mapped(nu, gamma=1e-10)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tiny_masses_out_of_order_raise(seed):
+    with pytest.raises(NotInConvexOrderError):
+        solve(*tiny_out_of_order(seed), 0.5)
+
+
+def test_verify_rejects_a_tiny_mass_coupling(tmp_path):
+    # the sweep with its gates read at unit scale, on a pair that is not in
+    # convex order: its marginal or barycenter residuals are 16-27% of mu's
+    # mass, and every entry weighs less than the forbidden search's 1e-10
+    mu, nu = tiny_out_of_order(1)
+    pi, _ = solve_sweep(mu, nu, detect_separation(mu, nu), scale=(1.0, 0.0, 1.0))
+    assert pi.masses.max() < 1e-10
+    assert not validate_coupling(pi, mu, nu).ok(1e-9)
+    coupling, pair = tmp_path / "c.json", tmp_path / "pair.json"
+    write_coupling_json(coupling, pi)
+    pair.write_text(json.dumps({
+        key: {"type": "discrete", "atoms": np.column_stack([m.positions, m.masses]).tolist()}
+        for key, m in (("mu", mu), ("nu", nu))}))
+    assert main(["verify", "--coupling", str(coupling), "--marginals", str(pair)]) == 1

@@ -10,9 +10,11 @@ import motkit.mot1d
 import motkit.pipeline
 from motkit import (DiscreteMeasure, InputError, NotInConvexOrderError,
                     RadialAtoms, SeparationError, SolverFailureError,
-                    convex_order_check, cost, solve, solve_radial)
+                    common_mass_split, convex_order_check, cost, solve, solve_radial,
+                    validate_coupling)
 from motkit.cli import main
 from motkit.lp import LpSolution
+from instances import separated_instance, spread_pair_instance
 
 MU = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
 NU = DiscreteMeasure([-2.0, 2.0], [0.5, 0.5])
@@ -67,6 +69,29 @@ class TestRoute:
     def test_forced_sweep_on_overlap_is_a_separation_error(self):
         with pytest.raises(SeparationError, match="not separated"):
             solve(MU, NU_INSIDE, 1.0, method="sweep")
+
+
+class TestUnits:
+    """The order check, the sweep and the LP take their units from the input
+    pair."""
+
+    @pytest.mark.parametrize("route,pair", [
+        ("sweep", separated_instance), ("lp", lambda rng: spread_pair_instance(rng, 12))])
+    def test_small_remainder_keeps_the_input_units(self, route, pair):
+        # mu's atoms weigh 1 + 1e-9 w, and nu holds 1 at each of them: the
+        # split leaves a remainder of mass 1e-9 whose masses carry rounding
+        # of the input's scale, about 1e-16, not of the remainder's; that is
+        # 1e-7 of the remainder, past the LP's FEAS_TOL in its own units
+        mu0, nu0 = pair(np.random.default_rng([89, 1]))
+        mu = DiscreteMeasure(mu0.positions, 1.0 + 1e-9 * mu0.masses)
+        nu = DiscreteMeasure(np.concatenate([mu0.positions, nu0.positions]),
+                             np.concatenate([np.ones(len(mu0)), 1e-9 * nu0.masses]))
+        _, mu_bar, nu_bar = common_mass_split(mu, nu)
+        assert mu_bar.total_mass() < 2e-9
+        assert not convex_order_check(mu_bar, nu_bar, tol=1e-9).in_order
+        sol = solve(mu, nu, 0.5)
+        assert sol.route == route
+        assert validate_coupling(sol.coupling(), mu, nu).ok(1e-9)
 
 
 class TestSingleGate:
@@ -129,7 +154,7 @@ class TestOrderFailure:
         assert info.value.report.mass_gap == pytest.approx(5e-9, rel=1e-6)
 
 
-def _infeasible(mu, nu, p, sense="min"):
+def _infeasible(mu, nu, p, sense="min", scale=None):
     return LpSolution("infeasible", None, None, None, {}, 0)
 
 
@@ -152,11 +177,11 @@ class TestLpInfeasibleAfterOrderCheck:
         assert main(["solve-radial", str(radial)]) == 1
 
 
-def _failed_simplex(A, b, c, start=None):
+def _failed_simplex(A, b, c, start=None, feas_tol=None):
     raise SolverFailureError("phase 1 ended with maxiter")
 
 
-def _zero_optimum(A, b, c, start=None):
+def _zero_optimum(A, b, c, start=None, feas_tol=None):
     return "optimal", np.zeros(A.shape[1]), 0, ""
 
 

@@ -168,6 +168,32 @@ class TestSolveRadial:
         assert c1 == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert reflection_residual(lifted.base) <= 1e-10
 
+    @pytest.mark.parametrize("gamma", [1e-10, 1.0, 1e12])
+    def test_lp_path_at_any_mass_scale(self, gamma):
+        mu = RadialAtoms(2, [1.0, 1.7], [0.6 * gamma, 0.4 * gamma])
+        nu = RadialAtoms(2, [0.5, 1.2, 2.0, 3.1],
+                         [0.3 * gamma, 0.2 * gamma, 0.3 * gamma, 0.2 * gamma])
+        lifted, c1 = solve_radial(mu, nu, 1.0)
+        assert lifted.maps is None
+        assert c1 == pytest.approx(0.7883870967741936 * gamma, rel=1e-12)
+
+    def test_lp_path_takes_any_optimal_corner(self):
+        # mu at -0.8 and 0.8 against nu at -4, 0 and 4 (odd n puts a cell at
+        # 0): the optimal couplings form a segment that reflection maps onto
+        # itself, and the simplex returns an asymmetric end of it. Averaging
+        # it with its mirror gives the symmetric optimizer of the same cost.
+        mu = RadialProfile(2, [0.0, 0.8, 1.2, 4.4], [0.0, 1.0, 0.0])
+        nu = RadialProfile(2, [0.0, 0.2, 3.8, 4.2, 4.4], [4.0, 0.0, 0.2, 0.0])
+        mu1, nu1 = (quantize(induce_1d(m, 11)) for m in (mu, nu))
+        assert len(nu1) == 3 and nu1.positions[1] == 0.0
+        sol = solve_lp(mu1, nu1, 0.5)
+        assert reflection_residual(sol.coupling) > 1.0
+        lifted, c1 = solve_radial(mu, nu, 0.5, n=11)
+        assert lifted.maps is None
+        assert reflection_residual(lifted.base) == 0.0
+        assert c1 == pytest.approx(sol.objective, rel=1e-12)
+        assert validate_coupling(lifted.base, mu1, nu1).ok(1e-12)
+
     def test_common_mass_stays_put(self):
         mu = RadialAtoms(2, [1.0, 3.0], [0.8, 0.2])
         nu = RadialAtoms(2, [0.5, 2.0, 3.0], [0.8 * 2 / 3, 0.8 / 3, 0.2])
