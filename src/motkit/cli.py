@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Commands: check-order, solve, solve-radial, verify, deform-check, oracle.
-Exit codes: 0 ok / 1 mathematical negative / 2 input error / 3 numerical
+Exit codes: 0 ok / 1 mathematical negative / 2 input or file error / 3 numerical
 failure. All commands are deterministic under fixed seed and inputs.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (InputError, MotkitError, NotInConvexOrderError,
                      SolverFailureError)
 from . import lp as lp_mod
-from .measures import as_discrete, convex_order_check, load_marginal_pair
+from .measures import convex_order_check, load_marginal_pair
 from .mot1d import (check_exponent, cost, read_coupling_json,
                     write_coupling_json, write_induced_csv, write_maps_csv)
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
@@ -44,7 +44,7 @@ def _emit(doc: dict, path: str | None):
 
 def cmd_check_order(args) -> int:
     mu, nu = load_marginal_pair(args.input)
-    report = convex_order_check(as_discrete(mu), as_discrete(nu), tol=args.tol)
+    report = convex_order_check(mu, nu, tol=args.tol)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.in_order else EXIT_NEGATIVE
 
@@ -52,7 +52,7 @@ def cmd_check_order(args) -> int:
 def cmd_solve(args) -> int:
     mu, nu = load_marginal_pair(args.input)
     try:
-        sol = solve(as_discrete(mu), as_discrete(nu), args.p, args.method, args.tol)
+        sol = solve(mu, nu, args.p, args.method, args.tol)
     except NotInConvexOrderError as exc:
         if exc.report is None:
             raise
@@ -88,7 +88,6 @@ def cmd_solve_radial(args) -> int:
 def cmd_verify(args) -> int:
     pi, _, maps = read_coupling_json(args.coupling)
     mu, nu = load_marginal_pair(args.marginals)
-    mu, nu = as_discrete(mu), as_discrete(nu)
     rep = validate_coupling(pi, mu, nu)
     forbidden = detect_forbidden(pi, DETECT_MASS_TOL * rep.mass_unit)
     decreasing = None if maps is None else check_decreasing(maps)
@@ -125,7 +124,7 @@ def cmd_deform_check(args) -> int:
 def cmd_oracle(args) -> int:
     check_exponent(args.p)
     mu, nu = load_marginal_pair(args.input)
-    sol = lp_mod.solve_lp(as_discrete(mu), as_discrete(nu), args.p, sense=args.sense)
+    sol = lp_mod.solve_lp(mu, nu, args.p, sense=args.sense)
     if sol.status == "infeasible":
         print("infeasible")
         return EXIT_NEGATIVE
@@ -213,6 +212,9 @@ def main(argv=None) -> int:
         return EXIT_NEGATIVE
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # the readers raise InputError, so this is an output path
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, MotkitError
 
 POSITION_TOL = 1e-12   # absolute merge tolerance for atom positions
 MASS_TOL = 1e-10       # default order-check tolerance, in `scale_of`'s units
@@ -392,7 +392,7 @@ def spec_numbers(value, name: str, width: int | None = None) -> np.ndarray:
             bad = next(row for row in value if type(row) is not list or len(row) != width)
             raise InputError(f"each of {name} must be {width} numbers, got {bad!r}")
         items = list(itertools.chain.from_iterable(value))
-    # json.load gives int and float for numbers; bool is a type of its own
+    # the JSON decoder gives int and float for numbers; bool is a type of its own
     if not set(map(type, items)) <= {int, float}:
         bad = next(v for v in items if type(v) not in (int, float))
         raise InputError(f"{name} must hold numbers only, got {bad!r}")
@@ -411,35 +411,45 @@ def parse_int(value, name: str) -> int:
     return int(number)
 
 
-def _marginal_from_dict(d: dict):
+def read_spec(path, what: str, parse):
+    """parse(document) of the JSON file at `path`: the one reader of
+    marginal, radial and coupling files. A MotkitError from `parse` passes
+    through; a file that cannot be opened, decoded or parsed, and a document
+    of the wrong shape (a missing key, a list for an object, nesting past
+    the recursion limit) are an InputError naming `what` and `path`."""
     try:
-        kind = d["type"]
-        if kind == "discrete":
-            atoms = spec_numbers(d["atoms"], "atoms", 2)
-            return DiscreteMeasure(atoms[:, 0], atoms[:, 1])
-        if kind == "grid":
-            lo, hi = spec_numbers([d["lo"], d["hi"]], "grid lo and hi")
-            return GridDensity(float(lo), float(hi), parse_int(d["n"], "grid n"),
-                               spec_numbers(d["values"], "grid values"))
-    except InputError:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except MotkitError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"malformed marginal spec: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InputError(f"cannot read {what} {path}: {detail}") from exc
+
+
+def _marginal_from_dict(d: dict) -> DiscreteMeasure:
+    kind = d["type"]
+    if kind == "discrete":
+        atoms = spec_numbers(d["atoms"], "atoms", 2)
+        return DiscreteMeasure(atoms[:, 0], atoms[:, 1])
+    if kind == "grid":
+        lo, hi = spec_numbers([d["lo"], d["hi"]], "grid lo and hi")
+        return quantize(GridDensity(float(lo), float(hi), parse_int(d["n"], "grid n"),
+                                    spec_numbers(d["values"], "grid values")))
     raise InputError(f"unknown marginal type {kind!r}")
 
 
 def load_marginal_pair(path):
-    """Read a marginal spec file; grid marginals are returned unquantized."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return _marginal_from_dict(doc["mu"]), _marginal_from_dict(doc["nu"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InputError(f"cannot read marginal spec {path}: {exc}") from exc
+    """(mu, nu) of a marginal spec file as discrete measures; a grid
+    marginal is quantized, one atom at each cell's midpoint."""
+    return read_spec(path, "marginal spec",
+                     lambda doc: (_marginal_from_dict(doc["mu"]),
+                                  _marginal_from_dict(doc["nu"])))
 
 
 def as_discrete(m) -> DiscreteMeasure:
-    """Quantize grid marginals; pass discrete ones through."""
+    """Quantize grid marginals; pass discrete ones through. The reader
+    quantizes already, so a measure it returns passes through unchanged."""
     if isinstance(m, GridDensity):
         return quantize(m)
     return m

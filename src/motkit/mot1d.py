@@ -41,7 +41,8 @@ import numpy as np
 from .errors import InputError, SolverFailureError
 # convex_order_check is not called here; perfbench/tracing.py's PATCHES rebinds it
 from .measures import (POSITION_TOL, DiscreteMeasure, _ranges, scale_of,  # noqa: F401
-                       convex_order_check, group_atoms, nearest_atom, spec_numbers)
+                       convex_order_check, group_atoms, nearest_atom, read_spec,
+                       spec_numbers)
 
 # Remaining atom slivers below this fraction of the total mass are absorbed
 # by the frontier consumptions, so exact-exhaustion roots do not leave dust
@@ -428,19 +429,6 @@ def _json_rows(fh, columns):
     fh.write("]")
 
 
-def coupling_from_dict(doc: dict):
-    try:
-        pi = Coupling(*spec_numbers(doc["entries"], "entries", 3).T.copy())
-        maps = None
-        if doc.get("maps"):
-            maps = TransportMaps(*spec_numbers(doc["maps"], "maps", 5).T)
-        return pi, doc.get("cost"), maps
-    except InputError:
-        raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"malformed coupling document: {exc}") from exc
-
-
 def write_coupling_json(path, pi: Coupling, cost_value=None,
                         maps: TransportMaps | None = None, extra: dict | None = None):
     """Write {"cost", "entries", "maps"} and the `extra` keys with the bytes
@@ -470,13 +458,17 @@ def write_coupling_json(path, pi: Coupling, cost_value=None,
         fh.write("}\n")
 
 
+def _coupling_from_dict(doc: dict):
+    pi = Coupling(*spec_numbers(doc["entries"], "entries", 3).T.copy())
+    maps = None
+    if doc.get("maps"):
+        maps = TransportMaps(*spec_numbers(doc["maps"], "maps", 5).T)
+    return pi, doc.get("cost"), maps
+
+
 def read_coupling_json(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read coupling {path}: {exc}") from exc
-    return coupling_from_dict(doc)
+    """(coupling, cost, maps) of a coupling file; maps is None when absent."""
+    return read_spec(path, "coupling", _coupling_from_dict)
 
 
 def write_maps_csv(path, maps: TransportMaps):

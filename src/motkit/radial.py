@@ -20,7 +20,6 @@ the origin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
 from .measures import (DiscreteMeasure, GridDensity, group_atoms, parse_int, quantize,
-                       spec_numbers)
+                       read_spec, spec_numbers)
 from .mot1d import Coupling, TransportMaps, cost, reflection_residual
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import (common_mass_split, convex_order_check,  # noqa: F401
@@ -108,10 +107,11 @@ class RadialAtoms:
             raise InputError("radial atoms require dim >= 2")
         if len(r) != len(w) or len(r) == 0:
             raise InputError("radii and masses must be nonempty and equal length")
-        if np.any(r <= 0):
-            raise InputError("shell radii must be > 0 (no mass at the origin)")
-        if np.any(w <= 0):
-            raise InputError("shell masses must be > 0")
+        # nan fails both comparisons, so each test refuses it too
+        if not np.all((0 < r) & (r < np.inf)):
+            raise InputError("shell radii must be finite and > 0 (no mass at the origin)")
+        if not np.all((0 < w) & (w < np.inf)):
+            raise InputError("shell masses must be finite and > 0")
         order = np.argsort(r)
         r, w = r[order], w[order]
         r.setflags(write=False)
@@ -422,25 +422,20 @@ def l_symmetrize_2d(phi: DiscreteMeasure, direction) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 def _radial_from_dict(d: dict, dim: int):
-    try:
-        kind = d["type"]
-        if kind == "radial-grid":
-            return RadialProfile(dim, spec_numbers(d["r"], "r"), spec_numbers(d["f"], "f"))
-        if kind == "radial-atoms":
-            atoms = spec_numbers(d["atoms"], "atoms", 2)
-            return RadialAtoms(dim, atoms[:, 0], atoms[:, 1])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"malformed radial marginal: {exc}") from exc
+    kind = d["type"]
+    if kind == "radial-grid":
+        return RadialProfile(dim, spec_numbers(d["r"], "r"), spec_numbers(d["f"], "f"))
+    if kind == "radial-atoms":
+        atoms = spec_numbers(d["atoms"], "atoms", 2)
+        return RadialAtoms(dim, atoms[:, 0], atoms[:, 1])
     raise InputError(f"unknown radial marginal type {kind!r}")
 
 
+def _radial_pair(doc: dict):
+    dim = parse_int(doc["dim"], "dim")
+    return dim, _radial_from_dict(doc["mu"], dim), _radial_from_dict(doc["nu"], dim)
+
+
 def load_radial_pair(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        dim = parse_int(doc["dim"], "dim")
-        return dim, _radial_from_dict(doc["mu"], dim), _radial_from_dict(doc["nu"], dim)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"cannot read radial spec {path}: {exc}") from exc
+    """(dim, mu, nu) of a radial spec file."""
+    return read_spec(path, "radial spec", _radial_pair)

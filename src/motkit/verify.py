@@ -285,10 +285,6 @@ class ValidationReport:
     mass_unit: float     # M and L of `scale_of(mu, nu)`
     length_unit: float
 
-    def max_residual(self) -> float:
-        return max(self.row_residual, self.column_residual,
-                   self.barycenter_residual)
-
     def ok(self, tol: float) -> bool:
         """Marginal residuals within tol * M, the barycenter's within tol * M * L."""
         return (max(self.row_residual, self.column_residual) <= tol * self.mass_unit

@@ -391,6 +391,28 @@ class TestMalformedInput:
             argv = ["verify", "--coupling", str(path), "--marginals", pair_file]
         assert main(argv) == 2
 
+    # bytes no reader can take: the UnicodeDecodeError and RecursionError
+    # json.load raises on them once ended the commands with a traceback and
+    # exit 1, the exit of a mathematical negative
+    UNREADABLE = {"non-utf8": b"\xff\xfe{\x80}",
+                  "deep-array": b"[" * 200_000 + b"]" * 200_000}
+
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+    @pytest.mark.parametrize("use", ["check-order", "solve", "oracle", "verify-marginals",
+                                     "verify-coupling", "solve-radial"])
+    def test_unreadable_file_exit_two(self, use, content, pair_file, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        coupling = tmp_path / "c.json"
+        coupling.write_text(json.dumps({"entries": [], "cost": None}))
+        argv = {"verify-marginals": ["verify", "--coupling", str(coupling),
+                                     "--marginals", str(path)],
+                "verify-coupling": ["verify", "--coupling", str(path),
+                                    "--marginals", pair_file],
+                }.get(use, [use, str(path)])
+        assert main(argv) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_nan_position_in_coupling_exit_two(self, pair_file, tmp_path):
         out = tmp_path / "pi.json"
         assert main(["solve", pair_file, "--out", str(out)]) == 0
@@ -410,6 +432,35 @@ class TestMalformedInput:
         out.write_text(json.dumps(doc))
         assert main(["verify", "--coupling", str(out),
                      "--marginals", pair_file]) == 2
+
+
+class TestUnwritableOutput:
+    """An output path in a directory that does not exist. Its
+    FileNotFoundError once ended every command with a traceback and exit 1."""
+
+    @pytest.fixture()
+    def argvs(self, pair_file, radial_file, tmp_path):
+        coupling = tmp_path / "c.json"
+        assert main(["solve", pair_file, "--out", str(coupling)]) == 0
+        return {
+            "check-order": ["check-order", pair_file],
+            "solve": ["solve", pair_file],
+            "solve-radial": ["solve-radial", radial_file, "--n", "50"],
+            "verify": ["verify", "--coupling", str(coupling), "--marginals", pair_file],
+            "deform-check": ["deform-check", "--q", "0.5", "--instances", "1",
+                             "--grid", "3"],
+            "oracle": ["oracle", pair_file],
+        }
+
+    @pytest.mark.parametrize("command, option", [
+        ("check-order", "--out"), ("solve", "--out"), ("solve-radial", "--out"),
+        ("verify", "--out"), ("deform-check", "--out"), ("oracle", "--out"),
+        ("solve", "--maps-csv"), ("solve-radial", "--induced-csv")])
+    def test_exit_two(self, command, option, argvs, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "out")
+        capsys.readouterr()
+        assert main(argvs[command] + [option, out]) == 2
+        assert out in capsys.readouterr().err
 
 
 PAIR_DOC = {"mu": {"type": "discrete", "atoms": [[0.0, 1.0]]},

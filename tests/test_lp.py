@@ -384,7 +384,7 @@ class TestUniquenessProbe:
             assert other.min() >= 0.0
             ii, jj = np.nonzero(other)
             pi = Coupling(mu.positions[ii], nu.positions[jj], other[ii, jj])
-            assert validate_coupling(pi, mu, nu).max_residual() <= 1e-12
+            assert max(validate_coupling(pi, mu, nu).to_dict().values()) <= 1e-12
             assert cost(pi, 1.0) == pytest.approx(sol.objective, abs=1e-12)
         assert not uniqueness_probe(mu, nu, 1.0)
 
