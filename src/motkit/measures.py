@@ -171,6 +171,10 @@ class DiscreteMeasure:
             raise InputError("every atom mass must be > 0")
         if len(pos):
             pos, w = _merge_groups(pos, w)
+            with np.errstate(over="ignore"):  # the overflow is the error reported
+                total = w.sum()
+            if not np.isfinite(total):
+                raise InputError("the total mass must be finite")
         pos.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -427,16 +431,29 @@ def read_spec(path, what: str, parse):
         raise InputError(f"cannot read {what} {path}: {detail}") from exc
 
 
+def check_first_moment(positions, masses):
+    """Refuse a measure read from a file whose sum of mass times |position|
+    overflows: the order check and the solvers sum first moments. A measure
+    built in code may hold one (its atoms merge without forming them)."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.abs(positions).T @ masses).all()
+    if not finite:
+        raise InputError("the sum of mass times position must be finite")
+
+
 def _marginal_from_dict(d: dict) -> DiscreteMeasure:
     kind = d["type"]
     if kind == "discrete":
         atoms = spec_numbers(d["atoms"], "atoms", 2)
-        return DiscreteMeasure(atoms[:, 0], atoms[:, 1])
-    if kind == "grid":
+        m = DiscreteMeasure(atoms[:, 0], atoms[:, 1])
+    elif kind == "grid":
         lo, hi = spec_numbers([d["lo"], d["hi"]], "grid lo and hi")
-        return quantize(GridDensity(float(lo), float(hi), parse_int(d["n"], "grid n"),
-                                    spec_numbers(d["values"], "grid values")))
-    raise InputError(f"unknown marginal type {kind!r}")
+        m = quantize(GridDensity(float(lo), float(hi), parse_int(d["n"], "grid n"),
+                                 spec_numbers(d["values"], "grid values")))
+    else:
+        raise InputError(f"unknown marginal type {kind!r}")
+    check_first_moment(m.positions, m.masses)
+    return m
 
 
 def load_marginal_pair(path):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -174,12 +173,6 @@ class TransportMaps:
 
     def columns(self):
         return self.xs, self.lower, self.upper, self.lower_frac, self.upper_frac
-
-    @cached_property
-    def texts(self):
-        """`float_texts` of the five columns, shared by the JSON and CSV
-        writers (`write_coupling_json` may set it first)."""
-        return float_texts(*self.columns())
 
 
 def _frontiers(nu: DiscreteMeasure, interval: SeparationInterval, c: float):
@@ -405,57 +398,38 @@ def coupling_matrix(pi: Coupling, mu: DiscreteMeasure,
 # Serialization: coupling JSON, transport-map CSV and induced-marginal CSV
 # ---------------------------------------------------------------------------
 
-def float_texts(*columns) -> list:
-    """`float.__repr__` of every value of the given float columns, as one
-    list of texts per column. Each distinct float64 bit pattern is formatted
-    once, so a value repeated across rows and columns costs one repr while
-    -0.0 and 0.0 keep their own texts."""
-    values = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
-    keys, inverse = np.unique(np.concatenate(values).view(np.int64),
-                              return_inverse=True)
-    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    flat = texts[inverse.reshape(-1)].tolist()
-    ends = np.cumsum([len(v) for v in values]).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
-
-
 def _json_rows(fh, columns):
-    """Write the rows of the text columns as json.dumps writes a list of
+    """Write the rows of the float columns as json.dumps writes a list of
     lists of floats."""
-    rows = map(", ".join, zip(*columns))
-    first = next(rows, None)
-    fh.write("[" if first is None else f"[[{first}]")
-    fh.writelines(f", [{row}]" for row in rows)
-    fh.write("]")
+    # the writers import floattext when they run: a command that writes no
+    # floats does not compile it
+    from .floattext import text_rows
+    fh.write(b"[")
+    fh.writelines(text_rows(columns, b"[", b", ", b"]", b", "))
+    fh.write(b"]")
 
 
 def write_coupling_json(path, pi: Coupling, cost_value=None,
                         maps: TransportMaps | None = None, extra: dict | None = None):
     """Write {"cost", "entries", "maps"} and the `extra` keys with the bytes
     of json.dumps(doc, sort_keys=True) and a newline. cost and `extra` go
-    through json.dumps; the entries [x, y, w] and the map rows are streamed
-    from `float_texts`."""
+    through json.dumps; the entries [x, y, w] and the map rows are built by
+    `floattext.text_rows`."""
     if pi.dim != 1:
         raise InputError("coupling JSON holds 1-D couplings")
     doc = {"cost": None if cost_value is None else float(cost_value), **(extra or {})}
-    # the maps repeat the entries' positions, so one call formats both
-    # unless the maps' texts exist already; the CSV writer reuses them
-    share = maps is not None and "texts" not in vars(maps)
-    texts = float_texts(pi.xs, pi.ys, pi.masses, *(maps.columns() if share else ()))
-    if share:
-        vars(maps)["texts"] = texts[3:]
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for i, key in enumerate(sorted({*doc, "entries", "maps"})):
-            fh.write(f"{', ' if i else '{'}{json.dumps(key)}: ")
+            fh.write(f"{', ' if i else '{'}{json.dumps(key)}: ".encode())
             if key in doc:
-                fh.write(json.dumps(doc[key], sort_keys=True))
+                fh.write(json.dumps(doc[key], sort_keys=True).encode())
             elif key == "entries":
-                _json_rows(fh, texts[:3])
+                _json_rows(fh, (pi.xs, pi.ys, pi.masses))
             elif maps is None:
-                fh.write("null")
+                fh.write(b"null")
             else:
-                _json_rows(fh, maps.texts)
-        fh.write("}\n")
+                _json_rows(fh, maps.columns())
+        fh.write(b"}\n")
 
 
 def _coupling_from_dict(doc: dict):
@@ -472,16 +446,17 @@ def read_coupling_json(path):
 
 
 def write_maps_csv(path, maps: TransportMaps):
-    with open(path, "w") as fh:
-        fh.write("x,S,T,lambda_minus,lambda_plus\n")
-        fh.writelines(f"{row}\n" for row in map(",".join, zip(*maps.texts)))
+    from .floattext import text_rows
+    with open(path, "wb") as fh:
+        fh.write(b"x,S,T,lambda_minus,lambda_plus\n")
+        fh.writelines(text_rows(maps.columns(), b"", b",", b"\n"))
 
 
 def write_induced_csv(path, pi: Coupling):
     """The source and target marginals of a 1-D coupling, one atom a line."""
+    from .floattext import text_rows
     src, tgt = pi.source_marginal(), pi.target_marginal()
-    x, w, y, v = float_texts(src.positions, src.masses, tgt.positions, tgt.masses)
-    with open(path, "w") as fh:
-        fh.write("marginal,position,mass\n")
-        fh.writelines(f"mu,{a},{b}\n" for a, b in zip(x, w))
-        fh.writelines(f"nu,{a},{b}\n" for a, b in zip(y, v))
+    with open(path, "wb") as fh:
+        fh.write(b"marginal,position,mass\n")
+        fh.writelines(text_rows((src.positions, src.masses), b"mu,", b",", b"\n"))
+        fh.writelines(text_rows((tgt.positions, tgt.masses), b"nu,", b",", b"\n"))

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
-from .measures import (DiscreteMeasure, GridDensity, group_atoms, parse_int, quantize,
-                       read_spec, spec_numbers)
+from .measures import (DiscreteMeasure, GridDensity, check_first_moment, group_atoms,
+                       parse_int, quantize, read_spec, spec_numbers)
 from .mot1d import Coupling, TransportMaps, cost, reflection_residual
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import (common_mass_split, convex_order_check,  # noqa: F401
@@ -112,6 +112,10 @@ class RadialAtoms:
             raise InputError("shell radii must be finite and > 0 (no mass at the origin)")
         if not np.all((0 < w) & (w < np.inf)):
             raise InputError("shell masses must be finite and > 0")
+        with np.errstate(over="ignore"):  # the overflow is the error reported
+            total = w.sum()
+        if not np.isfinite(total):
+            raise InputError("the total mass must be finite")
         order = np.argsort(r)
         r, w = r[order], w[order]
         r.setflags(write=False)
@@ -427,7 +431,9 @@ def _radial_from_dict(d: dict, dim: int):
         return RadialProfile(dim, spec_numbers(d["r"], "r"), spec_numbers(d["f"], "f"))
     if kind == "radial-atoms":
         atoms = spec_numbers(d["atoms"], "atoms", 2)
-        return RadialAtoms(dim, atoms[:, 0], atoms[:, 1])
+        shells = RadialAtoms(dim, atoms[:, 0], atoms[:, 1])
+        check_first_moment(shells.radii, shells.masses)
+        return shells
     raise InputError(f"unknown radial marginal type {kind!r}")
 
 

@@ -424,6 +424,33 @@ class TestMalformedInput:
         assert main(["verify", "--coupling", str(out),
                      "--marginals", pair_file]) == 2
 
+    # every mass and position is finite, but the total mass or a mass times
+    # a position is not: the order check's sums once overflowed into a
+    # traceback and exit 1, and the oracle printed objective=nan with exit 0
+    OVERFLOWING = {
+        "total-mass": {"mu": {"type": "discrete", "atoms": [[-0.5, 1e308], [0.5, 1e308]]},
+                       "nu": {"type": "discrete", "atoms": [[-2.0, 1e308], [2.0, 1e308]]}},
+        "mass-times-position": {
+            "mu": {"type": "discrete", "atoms": [[-1e300, 1e10], [1e300, 1e10]]},
+            "nu": {"type": "discrete", "atoms": [[-2e300, 1e10], [2e300, 1e10]]}},
+        "radial-total-mass": {
+            "dim": 2, "mu": {"type": "radial-atoms", "atoms": [[0.5, 1e308], [0.7, 1e308]]},
+            "nu": {"type": "radial-atoms", "atoms": [[2.0, 1e308], [3.0, 1e308]]}},
+        "radial-mass-times-radius": {
+            "dim": 2, "mu": {"type": "radial-atoms", "atoms": [[1e300, 1e10]]},
+            "nu": {"type": "radial-atoms", "atoms": [[2e300, 1e10]]}},
+    }
+
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for case in ("total-mass", "mass-times-position")
+        for command in ("check-order", "solve", "oracle")]
+        + [("solve-radial", "radial-total-mass"), ("solve-radial", "radial-mass-times-radius")])
+    def test_non_finite_totals_exit_two(self, command, case, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(self.OVERFLOWING[case]))
+        assert main([command, str(path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_nan_in_maps_exit_two(self, pair_file, tmp_path):
         out = tmp_path / "pi.json"
         assert main(["solve", pair_file, "--out", str(out)]) == 0

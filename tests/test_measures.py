@@ -256,6 +256,11 @@ class TestConstruction:
         m = DiscreteMeasure([10.0], [1e308])
         assert m.atoms() == [(10.0, 1e308)]
 
+    def test_total_mass_beyond_float_range_rejected(self):
+        # each mass is finite and no two merge, but the total overflows
+        with pytest.raises(InputError, match="total mass"):
+            DiscreteMeasure([0.0, 1.0], [1e308, 1e308])
+
     def test_merged_mass_beyond_float_range_rejected(self):
         with pytest.raises(InputError):
             DiscreteMeasure([1.0, 1.0], [1.5e308, 1.5e308])

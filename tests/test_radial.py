@@ -136,6 +136,8 @@ class TestInduce:
             RadialAtoms(2, [float("nan")], [1.0])
         with pytest.raises(InputError, match="masses must be finite"):
             RadialAtoms(2, [1.0], [float("inf")])
+        with pytest.raises(InputError, match="total mass must be finite"):
+            RadialAtoms(2, [1.0, 2.0], [1e308, 1e308])
 
 
 class TestSolveRadial:

@@ -1,14 +1,17 @@
-"""The streamed writers of `motkit.mot1d` against the writers they replaced.
+"""The writers of `motkit.mot1d` and the float kernel of `motkit.floattext`
+against `repr` and the writers they replaced.
 
 The oracles below are the coupling JSON, maps CSV and induced CSV writers as
 they were before each distinct float was formatted once: a dict of Python
 floats through json.dumps(sort_keys=True), and one repr per value and row.
 Copied apart from the names, with the deleted `TransportMaps.as_rows`
 written out as the rows of `columns()`. Every file the new writers produce
-must equal the oracle's bytes.
+must equal the oracle's bytes, and every text of the kernel `repr`'s.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from hypothesis import strategies as st
 
 from motkit import Coupling, InputError, TransportMaps
 from motkit.cli import main
-from motkit.mot1d import (float_texts, write_coupling_json, write_induced_csv,
+import motkit.floattext
+from motkit.floattext import BLOCK, float_texts, text_rows
+from motkit.mot1d import (write_coupling_json, write_induced_csv,
                           write_maps_csv)
 from motkit.radial import load_radial_pair, solve_radial
 
@@ -145,29 +150,121 @@ def test_coupling_json_refuses_a_coupling_in_rd(tmp_path):
         write_coupling_json(tmp_path / "c.json", pi)
 
 
+def texts(values):
+    """The kernel's texts of the values, decoded."""
+    chars, lengths = float_texts(values)
+    return [bytes(row[:n]).decode() for row, n in zip(chars, lengths.tolist())]
+
+
+def reprs(values):
+    return [repr(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def bit_patterns(draw_ints):
+    return np.array(draw_ints, dtype=np.int64).view(np.float64)
+
+
+# both sides of repr's switches to exponent notation at 1e-4 and 1e16, the
+# extremes of the float range, and values whose shortest form has 1, 15, 16
+# and 17 significant digits
+FIXED = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16,
+         np.nextafter(1e16, 0), np.nextafter(1e16, np.inf), 9999999999999998.0,
+         0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         3.0, 7e-300, 1e22, 0.5,
+         0.123456789012345, 123456789012345.0, 9.99999999999999e-05,
+         0.1234567890123456, 1 / 3, 1234567890123456.0,
+         0.30000000000000004, 0.12345678901234568, 1.0000000000000002,
+         float("inf"), -float("inf"), float("nan")]
+POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+
+
 class TestFloatTexts:
     def test_signed_zeros_keep_their_texts(self):
-        assert float_texts([0.0, -0.0, 0.0], [-0.0]) == [["0.0", "-0.0", "0.0"], ["-0.0"]]
+        assert texts([0.0, -0.0, 0.0, -0.0]) == ["0.0", "-0.0", "0.0", "-0.0"]
 
-    def test_each_distinct_value_formatted_once(self):
-        # one repr per distinct value: every occurrence shares its text object
-        texts = float_texts([1.5, 2.5, 1.5, -0.0], [2.5, 1e16, 1.5, 0.0])
-        assert texts == [["1.5", "2.5", "1.5", "-0.0"], ["2.5", "1e+16", "1.5", "0.0"]]
-        assert len({id(t) for col in texts for t in col}) == 5
+    def test_repeated_values_match_repr(self):
+        values = [1.5, 2.5, 1.5, -0.0, 2.5, 1e16, 1.5, 0.0]
+        assert texts(values) == ["1.5", "2.5", "1.5", "-0.0", "2.5", "1e+16", "1.5", "0.0"]
 
-    def test_one_repr_per_distinct_value_of_a_solve(self, tmp_path, monkeypatch):
+    def test_files_of_a_solve_match_the_oracles(self, tmp_path):
         # the JSON and the CSV of one solve: entries and maps share values
-        import motkit.mot1d
-        calls = []
-        monkeypatch.setattr(motkit.mot1d, "repr", lambda v: calls.append(v) or repr(v),
-                            raising=False)
         pi = Coupling([-0.5, -0.5, 0.5, 0.5], [-2.0, 2.0, -2.0, 2.0],
                       [0.1875, 0.0625, 0.0625, 0.1875])
         maps = TransportMaps([-0.5, 0.5], [-2.0, -2.0], [2.0, 2.0],
                              [0.75, 1.0], [0.25, 1.0])
         write_coupling_json(tmp_path / "c.json", pi, 1.875, maps)
         write_maps_csv(tmp_path / "m.csv", maps)
-        assert sorted(calls) == [-2.0, -0.5, 0.0625, 0.1875, 0.25, 0.5, 0.75, 1.0, 2.0]
+        oracle_coupling_json(tmp_path / "c_old.json", pi, 1.875, maps)
+        oracle_maps_csv(tmp_path / "m_old.csv", maps)
+        for new, old in (("c.json", "c_old.json"), ("m.csv", "m_old.csv")):
+            assert (tmp_path / new).read_bytes() == (tmp_path / old).read_bytes()
 
     def test_empty_columns(self):
-        assert float_texts(np.zeros(0), []) == [[], []]
+        chars, lengths = float_texts(np.zeros(0))
+        assert chars.shape == (0, motkit.floattext.WIDTH) and len(lengths) == 0
+        assert list(text_rows([np.zeros(0), []], b"[", b", ", b"]")) == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    def test_floats_match_repr(self, values):
+        assert texts(values) == reprs(values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=50))
+    def test_bit_patterns_match_repr(self, ints):
+        values = bit_patterns(ints)
+        assert texts(values) == reprs(values)
+
+    def test_fixed_table(self):
+        assert [len(repr(v).split("e")[0].replace("-", "").replace(".", "").strip("0"))
+                for v in (3.0, 0.123456789012345, 1 / 3, 0.30000000000000004)] == [1, 15, 16, 17]
+        values = np.concatenate([FIXED, np.negative(FIXED), POWERS_OF_TWO,
+                                 -POWERS_OF_TWO])
+        assert texts(values) == reprs(values)
+
+    def test_longer_than_a_block(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([rng.integers(-2 ** 63, 2 ** 63 - 1, 3 * BLOCK + 5)
+                                 .view(np.float64), rng.random(BLOCK), FIXED])
+        assert texts(values) == reprs(values)
+        # and a coupling file of several blocks of rows
+        finite = values[np.isfinite(values)]
+        n = len(finite) // 3
+        pi = Coupling(finite[:n], finite[n:2 * n], np.abs(finite[2 * n:3 * n]) + 1.0)
+        write_coupling_json(tmp_path / "new.json", pi, 1.0)
+        oracle_coupling_json(tmp_path / "old.json", pi, 1.0)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    def test_threads_keep_their_own_buffers(self):
+        # the kernel's scratch buffers are per thread; numpy releases the
+        # interpreter lock inside its loops, so these threads overlap
+        values = [np.random.default_rng(s).random(3 * BLOCK + 7) * 10.0 ** s
+                  for s in range(6)]
+        got = [None] * len(values)
+
+        def work(k):
+            for _ in range(3):
+                got[k] = b"".join(text_rows([values[k]], b"", b"", b"\n")).decode()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(values))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert got == ["".join(f"{t}\n" for t in reprs(v)) for v in values]
+
+    def test_every_value_through_the_fallback(self, monkeypatch, tmp_path):
+        # with an infinite margin no decision is sure, so repr formats all
+        calls = []
+        monkeypatch.setattr(motkit.floattext, "EPS", np.inf)
+        monkeypatch.setattr(motkit.floattext, "repr",
+                            lambda v: calls.append(v) or repr(v), raising=False)
+        values = np.concatenate([FIXED, np.random.default_rng(5).random(100)])
+        assert texts(values) == reprs(values)
+        assert len(calls) == len(values)
