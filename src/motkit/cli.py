@@ -8,6 +8,7 @@ failure. All commands are deterministic under fixed seed and inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -113,10 +114,10 @@ def cmd_deform_check(args) -> int:
         ok = curve_is_strictly_decreasing(curve) or curve_is_constant(curve)
         all_ok = all_ok and ok
     if args.out and first_curve is not None:
-        with open(args.out, "w") as fh:
-            fh.write("t,C\n")
-            for t, c in first_curve:
-                fh.write(f"{t!r},{c!r}\n")
+        from .floattext import text_rows
+        with open(args.out, "wb") as fh:
+            fh.write(b"t,C\n")
+            fh.writelines(text_rows(zip(*first_curve), b"", b",", b"\n"))
     print(f"q={args.q!r} instances={args.instances} monotone={all_ok}")
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
@@ -148,6 +149,7 @@ def _sample_count(text):
     return 0 if int(text) == 0 else _at_least(2, int)(text)
 
 
+@functools.cache  # built on the first main() call, not at import
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="motkit",
                                  description="martingale transport toolkit")

@@ -1,11 +1,10 @@
 """`repr` of whole float64 arrays in numpy, and rows of such texts as bytes.
 
-`float_texts(values)` returns `repr(float(v))` of every value as a uint8
-character matrix, left-aligned, and a length per value. `text_rows` joins
-the texts of several float columns into rows between fixed separators, a
-block of BLOCK values at a time. The writers in `mot1d` build their files
-from it: a file of floats costs a fixed number of numpy passes per block,
-and no Python work per value or row.
+`text_rows` joins `repr(float(v))` of the values of several float columns
+into rows between fixed separators, a block of BLOCK values at a time. The
+writers in `mot1d` and `cli` build their files from it: a file of floats
+costs a fixed number of numpy passes per block, and no Python work per
+value or row.
 
 Digits (after Loitsch, PLDI 2010, and Adams, PLDI 2018). A finite normal
 v != 0 has |v| = M * 2**q with M an integer in [2**52, 2**53). With
@@ -365,25 +364,6 @@ def _slots(v, words):
         words[rows, :3] = np.frombuffer(b"".join(t.ljust(WIDTH) for t in texts),
                                         dtype="<u8").reshape(-1, 3)
     return sc, rows, [len(t) for t in texts]
-
-
-def float_texts(values):
-    """`repr(float(v))` of every value: a uint8 matrix (n, WIDTH) whose rows
-    hold the texts left-aligned, and the length of each text."""
-    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    words = np.empty((len(v), WORDS), dtype="<u8")
-    mask = np.empty((len(v), WORDS), dtype=np.uint64)
-    lay = _layouts()
-    for start in range(0, len(v), BLOCK):
-        block = slice(start, start + BLOCK)
-        key, rows, lengths = _slots(v[block], words[block])
-        _take(lay.masks, key, out=mask[block])
-        mask[block][rows] = lay.fallback[lengths]
-    mask = mask.view(bool)
-    lengths = mask.sum(axis=1)
-    chars = np.zeros((len(v), WIDTH), dtype=np.uint8)
-    chars[np.arange(WIDTH) < lengths[:, None]] = words.view(np.uint8)[mask]
-    return chars, lengths
 
 
 @cache

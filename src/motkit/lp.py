@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, SolverFailureError
-from .measures import POSITION_TOL, DiscreteMeasure, _as_rows, scale_of
+from .measures import POSITION_TOL, DiscreteMeasure, _as_rows, distance, scale_of
 from .mot1d import Coupling
 
 # tolerances in the LP's units (mu's mass 1, largest cost 1)
@@ -326,8 +326,7 @@ class MotLp:
         if not 0.0 < self.p < np.inf:
             raise InputError(f"cost exponent p={self.p} must be positive and finite")
         xpos, ypos = mu.positions.reshape(m, d), nu.positions.reshape(n, d)
-        diff = xpos[:, None, :] - ypos[None, :, :]
-        C = (np.abs(diff[..., 0]) if d == 1 else np.linalg.norm(diff, axis=2)) ** self.p
+        C = distance(xpos[:, None], ypos) ** self.p
         mass_unit, centre, spread = scale_of(mu, nu)
         tol_unit = self.scale[0] / mass_unit if self.scale else 1.0
         w, v = mu.masses / mass_unit, nu.masses / mass_unit

@@ -44,6 +44,16 @@ def _as_rows(points) -> np.ndarray:
     return pts.reshape(len(pts), int(np.prod(pts.shape[1:])))
 
 
+def distance(a, b) -> np.ndarray:
+    """Euclidean distance of each point of `a` from `b`, one point or one
+    point per row (broadcast); the last axis holds the coordinates. On the
+    line it is |a - b|. In R^d hypot combines the absolute gaps without
+    squaring them: a point on one axis gets its gap exactly, and the
+    distance overflows only where it passes the float range itself."""
+    gap = np.abs(np.subtract(a, b))
+    return gap[..., 0] if gap.shape[-1] == 1 else np.hypot.reduce(gap, axis=-1)
+
+
 def _ranges(lo: np.ndarray, hi: np.ndarray):
     """All pairs (k, i) with lo[k] <= i < hi[k], as two index arrays."""
     counts = hi - lo

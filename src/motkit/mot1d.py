@@ -40,8 +40,8 @@ import numpy as np
 from .errors import InputError, SolverFailureError
 # convex_order_check is not called here; perfbench/tracing.py's PATCHES rebinds it
 from .measures import (POSITION_TOL, DiscreteMeasure, _ranges, scale_of,  # noqa: F401
-                       convex_order_check, group_atoms, nearest_atom, read_spec,
-                       spec_numbers)
+                       convex_order_check, distance, group_atoms, nearest_atom,
+                       read_spec, spec_numbers)
 
 # Remaining atom slivers below this fraction of the total mass are absorbed
 # by the frontier consumptions, so exact-exhaustion roots do not leave dust
@@ -330,16 +330,11 @@ def solve_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def cost(pi: Coupling, p: float) -> float:
-    """Transport cost sum(mass * |x-y|^p); Euclidean distance for dim>1."""
+    """Transport cost sum(mass * |x-y|^p), |x-y| by `measures.distance`."""
     if not 0.0 < p < np.inf:
         raise InputError(f"cost exponent p={p} must be positive and finite")
-    if len(pi) == 0:
-        return 0.0
-    if pi.dim == 1:
-        dist = np.abs(pi.xs - pi.ys)
-    else:
-        dist = np.linalg.norm(pi.xs - pi.ys, axis=1)
-    return float(np.dot(pi.masses, dist ** p))
+    n, d = len(pi), pi.dim
+    return float(np.dot(pi.masses, distance(pi.xs.reshape(n, d), pi.ys.reshape(n, d)) ** p))
 
 
 def reflection_residual(pi: Coupling) -> float:

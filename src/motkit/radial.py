@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
-from .measures import (DiscreteMeasure, GridDensity, check_first_moment, group_atoms,
-                       parse_int, quantize, read_spec, spec_numbers)
+from .measures import (DiscreteMeasure, GridDensity, _merge_groups, check_first_moment,
+                       distance, group_atoms, parse_int, quantize, read_spec,
+                       spec_numbers)
 from .mot1d import Coupling, TransportMaps, cost, reflection_residual
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import (common_mass_split, convex_order_check,  # noqa: F401
@@ -168,14 +169,12 @@ def _to_induced(marginal, n: int) -> DiscreteMeasure:
 
 
 def symmetrize_coupling(pi: Coupling) -> Coupling:
-    """Average a 1-D coupling with its reflection through the origin."""
-    agg = {}
-    for sign in (1.0, -1.0):
-        for x, y, w in zip(pi.xs, pi.ys, pi.masses):
-            key = (float(sign * x), float(sign * y))
-            agg[key] = agg.get(key, 0.0) + 0.5 * w
-    entries = [(x, y, w) for (x, y), w in sorted(agg.items())]
-    return Coupling.from_entries(entries)
+    """Average a 1-D coupling with its reflection through the origin: the
+    entries (x, y) and their mirrors (-x, -y), each at half its mass, merge
+    as atoms of the plane (`measures._merge_groups`), sorted by (x, y)."""
+    xy = np.column_stack([pi.xs, pi.ys])
+    pos, w = _merge_groups(np.concatenate([xy, -xy]), np.tile(pi.masses, 2) * 0.5)
+    return Coupling(pos[:, 0], pos[:, 1], w)
 
 
 @dataclass(frozen=True)
@@ -191,18 +190,11 @@ class LiftedCoupling:
     dim: int
     maps: TransportMaps | None = None
 
-    def cost_1d(self, p: float) -> float:
-        return cost(self.base, p)
-
     def cost_ddim(self, p: float) -> float:
         """Cost evaluated through d-dimensional points on a fixed ray."""
-        if len(self.base) == 0:
-            return 0.0
         e = np.zeros(self.dim)
         e[0] = 1.0
-        x = self.base.xs[:, None] * e[None, :]
-        y = self.base.ys[:, None] * e[None, :]
-        dist = np.linalg.norm(x - y, axis=1)
+        dist = distance(self.base.xs[:, None] * e, self.base.ys[:, None] * e)
         return float(np.dot(self.base.masses, dist ** p))
 
 
@@ -238,7 +230,7 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
         sol = sol._replace(pi=symmetrize_coupling(sol.pi))
 
     lifted = LiftedCoupling(sol.coupling(), dim, sol.maps)
-    return lifted, lifted.cost_1d(p)
+    return lifted, cost(lifted.base, p)
 
 
 GUIDE_CELLS = 4  # guide-table cells per entry, before rounding up to a power of two
@@ -326,23 +318,29 @@ def lift_summary(lc: LiftedCoupling, count: int, seed: int) -> dict:
     times the largest |source|. The means and deviations are summed in the
     order of numpy's axis-0 mean and std. The draws are taken block by
     block: only y - x is kept whole, and its deviations and their squares
-    overwrite it.
+    overwrite it. The draws are first divided by `unit`, the largest power
+    of two at most base's largest |position|: that is exact, and neither
+    the squared radii nor the squared deviations can overflow.
     """
     base = lc.base
     blocks = _lifted_blocks(lc, count, seed)
+    unit = math.ldexp(0.5, math.frexp(float(np.abs([base.xs, base.ys]).max()))[1])
     edges = np.linspace(0.0, float(np.abs(base.xs).max()) * 1.0001, 9)
     delta = np.empty((count, lc.dim))
     got = np.zeros(len(edges) - 1, dtype=np.int64)
     start = 0
     for x, y in blocks:  # run to the end, which frees the uniforms
+        x /= unit
+        y /= unit
         np.subtract(y, x, out=delta[start:start + len(x)])
-        got += np.histogram(row_norms(x), bins=edges)[0]
+        got += np.histogram(row_norms(x), bins=edges / unit)[0]
         start += len(x)
     mean = delta.sum(axis=0) / count
     delta -= mean
     np.multiply(delta, delta, out=delta)
     se = np.sqrt(delta.sum(axis=0) / (count - 1)) / np.sqrt(count)
-    mean_in_se = np.abs(mean) / np.where(se > 0, se, 1.0)
+    # mean and se are both in units of `unit`; an se of 0 divides by 1 / unit
+    mean_in_se = np.abs(mean) / np.where(se > 0, se, 1.0 / unit)
     expect, _ = np.histogram(np.abs(base.xs), bins=edges, weights=base.masses)
     expect = expect / base.total_mass()
     return {
@@ -377,12 +375,6 @@ def rotate_pushforward(pi: Coupling, M: np.ndarray) -> Coupling:
     return Coupling(pi.xs @ M.T, pi.ys @ M.T, pi.masses, pi.dim)
 
 
-def _radii_of(m: DiscreteMeasure) -> np.ndarray:
-    if m.dim == 1:
-        return np.abs(m.positions)
-    return np.linalg.norm(m.positions, axis=1)
-
-
 def r_equivalent(phi: DiscreteMeasure, psi: DiscreteMeasure, edges,
                  tol: float = 1e-9) -> bool:
     """Same mass on every annulus (per `edges`) and, radius by radius, the
@@ -390,7 +382,7 @@ def r_equivalent(phi: DiscreteMeasure, psi: DiscreteMeasure, edges,
     if phi.dim != psi.dim:
         raise InputError("measures must share dim")
     edges = np.asarray(edges, dtype=float)
-    r1, r2 = _radii_of(phi), _radii_of(psi)
+    r1, r2 = (distance(m.positions.reshape(len(m), m.dim), 0.0) for m in (phi, psi))
     h1, _ = np.histogram(r1, bins=edges, weights=phi.masses)
     h2, _ = np.histogram(r2, bins=edges, weights=psi.masses)
     if np.abs(h1 - h2).max(initial=0.0) > tol:

@@ -547,6 +547,43 @@ class TestStrictNumbers:
         assert main(["solve-radial", self._write(tmp_path, "r.json", doc)]) == 2
 
 
+class TestLargeScales:
+    """Positions past about 1.3e154 square to infinity. No command squares
+    one: each exits 0 on them, and warns of no overflow (the suite makes a
+    RuntimeWarning an error)."""
+
+    def test_solve_radial_is_exact_under_powers_of_two(self, tmp_path, capsys):
+        # a power of two scales every draw exactly, so the summary keeps its
+        # bytes and, at p = 1, the cost scales exactly
+        lines = {}
+        for k in (0, 600, 1000):
+            s = 2.0 ** k
+            doc = {"dim": 3,
+                   "mu": {"type": "radial-atoms", "atoms": [[1.0 * s, 0.6], [2.0 * s, 0.4]]},
+                   "nu": {"type": "radial-atoms", "atoms": [[0.5 * s, 0.5], [3.0 * s, 0.5]]}}
+            path = tmp_path / f"shells{k}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["solve-radial", str(path), "--samples", "20000"]) == 0
+            lines[k] = capsys.readouterr().out.splitlines()
+        base = float(lines[0][0].split()[0].removeprefix("cost_1d="))
+        for k in (600, 1000):
+            c1, cd = (float(part.split("=")[1]) for part in lines[k][0].split())
+            assert c1 == cd == base * 2.0 ** k
+            assert lines[k][1] == lines[0][1]
+
+    @pytest.mark.parametrize("s", [1e150, 1e160, 1e300])
+    def test_one_dimensional_commands(self, s, tmp_path, capsys):
+        doc = {"mu": {"type": "discrete", "atoms": [[-s, 1.0], [s, 1.0]]},
+               "nu": {"type": "discrete", "atoms": [[-2 * s, 1.0], [2 * s, 1.0]]}}
+        pair, out = str(tmp_path / "pair.json"), str(tmp_path / "c.json")
+        Path(pair).write_text(json.dumps(doc))
+        assert main(["check-order", pair]) == 0
+        for method in ("sweep", "lp"):
+            assert main(["solve", pair, "--method", method, "--out", out]) == 0
+            assert main(["verify", "--coupling", out, "--marginals", pair]) == 0
+        assert main(["oracle", pair]) == 0
+
+
 class TestImports:
     def test_cli_and_lp_do_not_import_scipy(self):
         # scipy.optimize alone adds tens of MB and about half a second to

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from motkit import Coupling, InputError, TransportMaps
 from motkit.cli import main
 import motkit.floattext
-from motkit.floattext import BLOCK, float_texts, text_rows
+from motkit.floattext import BLOCK, text_rows
 from motkit.mot1d import (write_coupling_json, write_induced_csv,
                           write_maps_csv)
 from motkit.radial import load_radial_pair, solve_radial
+from motkit.verify import deformation_curve, random_deformation_instance
 
 
 def oracle_coupling_json(path, pi, cost_value=None, maps=None, extra=None):
@@ -54,6 +55,13 @@ def oracle_induced_csv(path, pi):
         for name, m in (("mu", src), ("nu", tgt)):
             for x, w in zip(m.positions, m.masses):
                 fh.write(f"{name},{float(x)!r},{float(w)!r}\n")
+
+
+def oracle_deform_csv(path, curve):
+    with open(path, "w") as fh:
+        fh.write("t,C\n")
+        for t, c in curve:
+            fh.write(f"{t!r},{c!r}\n")
 
 
 # values next to repr's switches: 1e16 and 1e-4 change between positional
@@ -143,6 +151,17 @@ class TestAgainstOracle:
                     == (tmp_path / f"old.{name}").read_bytes())
 
 
+@pytest.mark.parametrize("q", ["0.5", "1.5", "2.0"])
+def test_deform_check_csv(q, tmp_path):
+    """deform-check --out writes the first instance's curve, as the oracle
+    does from the same draw."""
+    assert main(["deform-check", "--q", q, "--seed", "4", "--instances", "3",
+                 "--out", str(tmp_path / "new.csv")]) == 0
+    inst = random_deformation_instance(np.random.default_rng(4), float(q))
+    oracle_deform_csv(tmp_path / "old.csv", deformation_curve(inst, 101))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_coupling_json_refuses_a_coupling_in_rd(tmp_path):
     # its positions are rows, which the [x, y, w] entries cannot hold
     pi = Coupling([[0.0, 0.0]], [[1.0, 0.0]], [1.0], dim=2)
@@ -151,9 +170,8 @@ def test_coupling_json_refuses_a_coupling_in_rd(tmp_path):
 
 
 def texts(values):
-    """The kernel's texts of the values, decoded."""
-    chars, lengths = float_texts(values)
-    return [bytes(row[:n]).decode() for row, n in zip(chars, lengths.tolist())]
+    """The kernel's texts of the values, one a line, decoded."""
+    return b"".join(text_rows([values], b"", b"", b"\n")).decode().split("\n")[:-1]
 
 
 def reprs(values):
@@ -200,8 +218,7 @@ class TestFloatTexts:
             assert (tmp_path / new).read_bytes() == (tmp_path / old).read_bytes()
 
     def test_empty_columns(self):
-        chars, lengths = float_texts(np.zeros(0))
-        assert chars.shape == (0, motkit.floattext.WIDTH) and len(lengths) == 0
+        assert texts(np.zeros(0)) == []
         assert list(text_rows([np.zeros(0), []], b"[", b", ", b"]")) == []
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
