@@ -93,7 +93,7 @@ def cmd_verify(args) -> int:
     forbidden = detect_forbidden(pi, DETECT_MASS_TOL * rep.mass_unit)
     decreasing = None if maps is None else check_decreasing(maps)
     doc = {
-        "forbidden": [c.as_tuple() for c in forbidden],
+        "forbidden": forbidden,
         "residuals": rep.to_dict(),
         "decreasing": decreasing,
     }

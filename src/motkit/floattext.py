@@ -387,8 +387,10 @@ def _row_layout(tails):
 def text_rows(columns, lead: bytes, sep: bytes, end: bytes, between: bytes = b""):
     """Yield, a block at a time, the bytes of the rows lead + sep.join(texts)
     + end, joined by `between`, where the texts of a row are `repr` of its
-    values in the float columns. Its buffers are per thread: a thread reads
-    one such generator at a time.
+    values in the float columns. Each block's bytes are copied out of the
+    scratch buffers before they are yielded, so generators read in turn do
+    not disturb each other. The buffers are per thread: a generator is read
+    by one thread, not by several concurrently.
 
     Each value's words are followed by a tail word: sep after a value, and
     end + between + lead after a row's last value. The stream starts with
@@ -400,17 +402,18 @@ def text_rows(columns, lead: bytes, sep: bytes, end: bytes, between: bytes = b""
     n = min(rows, len(columns[0])) * len(columns)
     words = _scratch("words", n, "<u8", cols=WORDS + 1)
     keep = _scratch("keep", n, np.uint64, cols=WORDS + 1)
-    words.reshape(-1, len(tails), WORDS + 1)[:, :, WORDS] = tail
     chars, picks = words.view(np.uint8), keep.view(bool)
     fallback_masks = _layouts().fallback
     last = None
     for start in range(0, len(columns[0]), rows):
         v = np.column_stack([c[start:start + rows] for c in columns]).ravel()
+        words.reshape(-1, len(tails), WORDS + 1)[:, :, WORDS] = tail
         key, fallback, lengths = _slots(v, words[:len(v)])
         key += column[:len(v)]
         _take(masks, key, out=keep[:len(v)])
         keep[fallback, :WORDS] = fallback_masks[lengths]
+        text = chars[:len(v)][picks[:len(v)]]
         yield lead if last is None else last
-        last = chars[:len(v)][picks[:len(v)]]
+        last = text
     if last is not None:
         yield last[:len(last) - len(between + lead)]

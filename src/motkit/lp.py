@@ -32,13 +32,13 @@ solve's basis, over its optimal face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, SolverFailureError
-from .measures import POSITION_TOL, DiscreteMeasure, _as_rows, distance, scale_of
+from .measures import DiscreteMeasure, distance, same_atom, scale_of
 from .mot1d import Coupling
 
 # tolerances in the LP's units (mu's mass 1, largest cost 1)
@@ -269,7 +269,6 @@ def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None,
     return _revised_simplex(A, b, c, start, feas_tol)[:4]
 
 
-@dataclass(frozen=True)
 class MotLp:
     """Assembled LP data for a martingale transport instance.
 
@@ -296,24 +295,13 @@ class MotLp:
     artificials certifies that. Without this rule a cell of the tree goes
     negative by up to the mass difference (down to -3.9 on spread pairs
     whose nu masses were scaled by 0.5 to 5); with it, by at most the same
-    bound, which _Basis clips.
+    bound, which _Basis clips. A cost beyond the float range is an
+    InputError.
     """
 
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
-    p: float
-    sense: str = "min"
-    scale: tuple | None = field(default=None, repr=False)
-    A: Nonzeros = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
-    C: np.ndarray = field(init=False, repr=False)
-    start: np.ndarray | None = field(init=False, repr=False)
-    mass_unit: float = field(init=False, repr=False)
-    tol_unit: float = field(init=False, repr=False)
-    cost_unit: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mu, nu = self.mu, self.nu
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
+                 sense: str = "min", scale: tuple | None = None):
+        self.mu, self.nu, self.p, self.sense, self.scale = mu, nu, p, sense, scale
         if mu.dim != nu.dim:
             raise InputError("marginals must share dim")
         if len(mu) == 0 or len(nu) == 0:
@@ -321,14 +309,16 @@ class MotLp:
         m, n, d = len(mu), len(nu), mu.dim
         if m * n > MAX_VARIABLES:
             raise InputError(f"instance too large: {m}x{n} > {MAX_VARIABLES} variables")
-        if self.sense not in ("min", "max"):
+        if sense not in ("min", "max"):
             raise InputError("sense must be 'min' or 'max'")
-        if not 0.0 < self.p < np.inf:
-            raise InputError(f"cost exponent p={self.p} must be positive and finite")
-        xpos, ypos = mu.positions.reshape(m, d), nu.positions.reshape(n, d)
-        C = distance(xpos[:, None], ypos) ** self.p
+        if not 0.0 < p < np.inf:
+            raise InputError(f"cost exponent p={p} must be positive and finite")
+        xpos, ypos = mu.points(), nu.points()
+        with np.errstate(over="ignore"):  # the overflow is the error reported
+            C = distance(xpos[:, None], ypos) ** p
+        if not np.isfinite(C).all():
+            raise InputError("a transport cost |x - y|^p overflows the float range")
         mass_unit, centre, spread = scale_of(mu, nu)
-        tol_unit = self.scale[0] / mass_unit if self.scale else 1.0
         w, v = mu.masses / mass_unit, nu.masses / mass_unit
         xs, ys = (xpos - centre) / spread, (ypos - centre) / spread
 
@@ -340,17 +330,17 @@ class MotLp:
         b = np.concatenate([w, v, (xs * w[:, None]).ravel()])
         for arr in (A.row, A.val, b, C):
             arr.setflags(write=False)
-        for name, value in (("A", A), ("b", b), ("C", C), ("mass_unit", mass_unit),
-                            ("tol_unit", tol_unit), ("cost_unit", float(C.max()) or 1.0)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "start", self._start() if abs(
-            w.sum() - v.sum()) <= FEAS_TOL * tol_unit else None)
+        self.A, self.b, self.C = A, b, C
+        self.mass_unit, self.cost_unit = mass_unit, float(C.max()) or 1.0
+        self.tol_unit = scale[0] / mass_unit if scale else 1.0
+        self.start = self._start() if abs(
+            w.sum() - v.sum()) <= FEAS_TOL * self.tol_unit else None
 
     def _start(self) -> np.ndarray:
         mu, nu = self.mu, self.nu
         m, n, d = len(mu), len(nu), mu.dim
-        oi = np.argsort(mu.positions.reshape(m, d)[:, 0], kind="stable")
-        oj = np.argsort(nu.positions.reshape(n, d)[:, 0], kind="stable")
+        oi = np.argsort(mu.points()[:, 0], kind="stable")
+        oj = np.argsort(nu.points()[:, 0], kind="stable")
         # a step advances i when mu's cumulative mass ends first; the last
         # atom of each side ends no step
         ends = np.concatenate([np.cumsum(mu.masses[oi])[:-1],
@@ -426,12 +416,11 @@ def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
 
 def diagonal_mass(sol: LpSolution) -> float:
     """Mass the optimal coupling keeps fixed: entries whose x and y are one
-    atom under the merge rule, every coordinate within POSITION_TOL."""
+    atom (`measures.same_atom`)."""
     if sol.status != "optimal":
         raise InputError("diagonal_mass requires an optimal solution")
     pi = sol.coupling
-    gap = np.abs(_as_rows(pi.xs) - _as_rows(pi.ys)).max(axis=1, initial=0.0)
-    return float(pi.masses[gap <= POSITION_TOL].sum())
+    return float(pi.masses[same_atom(*pi.points())].sum())
 
 
 def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:

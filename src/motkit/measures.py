@@ -6,13 +6,13 @@ A measure is a finite list of atoms (position, mass) with every mass > 0.
 Positions are scalars for dim=1 (kept strictly increasing) or d-vectors for
 dim>1 (kept in lexicographic order).
 
-One rule decides when two positions are the same atom: their max-abs
-distance is at most ``POSITION_TOL``. `group_atoms` applies it as a chain
-rule; construction merges each group into one atom at the mass-weighted
+One rule decides when two positions are the same atom, `same_atom`: their
+max-abs distance is at most ``POSITION_TOL``. `group_atoms` applies it as a
+chain rule; construction merges each group into one atom at the mass-weighted
 mean position, so first moments survive the merge exactly, and coupling
 rows group their sources the same way. `nearest_atom` credits each point to
 the nearest atom within the tolerance, and never to two; the common-mass
-split, coupling matrices and coupling validation all match through it.
+split, separation detection, coupling matrices and validation match by it.
 
 Convex order on the line is decided through call functions: with equal total
 mass and equal mean, mu precedes nu iff the gap
@@ -42,6 +42,21 @@ def _as_rows(points) -> np.ndarray:
     """Positions as an (n, d) array; scalar positions become one column."""
     pts = np.asarray(points, dtype=float)
     return pts.reshape(len(pts), int(np.prod(pts.shape[1:])))
+
+
+def freeze(record, **arrays):
+    """Set each named field of the frozen dataclass `record` to its array,
+    made read-only."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
+def same_atom(a, b) -> np.ndarray:
+    """The atom rule, row by row: whether the positions in each row of `a`
+    and of `b` (broadcast; the last axis holds the coordinates) are one
+    atom, their max-abs distance at most POSITION_TOL."""
+    return np.abs(np.subtract(a, b)).max(axis=-1) <= POSITION_TOL
 
 
 def distance(a, b) -> np.ndarray:
@@ -75,10 +90,10 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         lab = new
 
 
-# The atom index: the one rule by which positions are "the same atom". The
-# distance is max-abs (Chebyshev), which is |x - y| in one dimension. Any pair
-# within POSITION_TOL has first coordinates within the candidate window
-# searched below; the window is twice as wide so rounding cannot drop a pair.
+# The atom index: two searches for candidate pairs, each tested by
+# `same_atom`. Any pair within POSITION_TOL has first coordinates within the
+# candidate window searched below; the window is twice as wide so rounding
+# cannot drop a pair.
 
 def group_atoms(points) -> np.ndarray:
     """Group label of each point under the chain rule.
@@ -97,7 +112,7 @@ def group_atoms(points) -> np.ndarray:
     uniq = srt[fresh]
     hi = np.searchsorted(uniq[:, 0], uniq[:, 0] + 2 * POSITION_TOL, side="right")
     i, j = _ranges(np.arange(1, len(uniq) + 1), hi)
-    near = np.abs(uniq[i] - uniq[j]).max(axis=1) <= POSITION_TOL
+    near = same_atom(uniq[i], uniq[j])
     comp = _components(len(uniq), i[near], j[near])
     labels = np.empty(len(pts), dtype=np.intp)
     labels[order] = np.unique(comp, return_inverse=True)[1][np.cumsum(fresh) - 1]
@@ -115,9 +130,9 @@ def nearest_atom(atoms, points) -> np.ndarray:
     hi = np.searchsorted(key, q[:, 0] + 2 * POSITION_TOL, side="right")
     k, i = _ranges(lo, hi)
     cand = order[i]
+    near = same_atom(q[k], a[cand])
+    k, cand = k[near], cand[near]
     dist = np.abs(q[k] - a[cand]).max(axis=1)
-    near = dist <= POSITION_TOL
-    k, cand, dist = k[near], cand[near], dist[near]
     best = np.lexsort((cand, dist, k))
     k, cand = k[best], cand[best]
     first = np.diff(k, prepend=-1) != 0
@@ -185,10 +200,7 @@ class DiscreteMeasure:
                 total = w.sum()
             if not np.isfinite(total):
                 raise InputError("the total mass must be finite")
-        pos.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "masses", w)
+        freeze(self, positions=pos, masses=w)
 
     @classmethod
     def empty(cls, dim: int = 1) -> "DiscreteMeasure":
@@ -211,6 +223,10 @@ class DiscreteMeasure:
     def atoms(self):
         return list(zip(self.positions, self.masses))
 
+    def points(self) -> np.ndarray:
+        """The positions as an (n, dim) view."""
+        return self.positions.reshape(len(self), self.dim)
+
 
 @dataclass(frozen=True)
 class GridDensity:
@@ -231,8 +247,7 @@ class GridDensity:
             raise InputError("density values must be finite and >= 0")
         if vals.sum() <= 0:
             raise InputError("grid density has zero total mass")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        freeze(self, values=vals)
 
     @property
     def cell_width(self) -> float:
@@ -317,8 +332,8 @@ def scale_of(mu: DiscreteMeasure, nu: DiscreteMeasure):
     POSITION_TOL is absolute; (1, 0, 1) if mu is empty."""
     if len(mu) == 0:
         return 1.0, 0.0, 1.0
-    mass, d = mu.total_mass(), mu.dim
-    xpos, ypos = mu.positions.reshape(-1, d), nu.positions.reshape(-1, d)
+    mass = mu.total_mass()
+    xpos, ypos = mu.points(), nu.points()
     centre = (mu.masses / mass) @ xpos
     return mass, centre, max(1.0, float(np.abs(xpos - centre).max()),
                              float(np.abs(ypos - centre).max(initial=0.0)))

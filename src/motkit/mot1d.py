@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import InputError, SolverFailureError
 # convex_order_check is not called here; perfbench/tracing.py's PATCHES rebinds it
-from .measures import (POSITION_TOL, DiscreteMeasure, _ranges, scale_of,  # noqa: F401
-                       convex_order_check, distance, group_atoms, nearest_atom,
-                       read_spec, spec_numbers)
+from .measures import (DiscreteMeasure, _ranges, convex_order_check,  # noqa: F401
+                       distance, freeze, group_atoms, nearest_atom, read_spec,
+                       scale_of, spec_numbers)
 
 # Remaining atom slivers below this fraction of the total mass are absorbed
 # by the frontier consumptions, so exact-exhaustion roots do not leave dust
@@ -81,19 +81,14 @@ class Coupling:
         ys = np.asarray(self.ys, dtype=float)
         w = np.asarray(self.masses, dtype=float)
         if self.dim > 1:
-            xs = xs.reshape(-1, self.dim)
-            ys = ys.reshape(-1, self.dim)
+            xs, ys = xs.reshape(-1, self.dim), ys.reshape(-1, self.dim)
         if len(xs) != len(w) or len(ys) != len(w):
             raise InputError("entry arrays must share length")
         if np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise InputError("entry masses must be positive and finite")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise InputError("entry positions must be finite")
-        for arr in (xs, ys, w):
-            arr.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "masses", w)
+        freeze(self, xs=xs, ys=ys, masses=w)
 
     @classmethod
     def from_entries(cls, entries, dim: int = 1) -> "Coupling":
@@ -112,6 +107,11 @@ class Coupling:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
+    def points(self):
+        """The sources and the targets, each as an (n, dim) view."""
+        n = len(self)
+        return self.xs.reshape(n, self.dim), self.ys.reshape(n, self.dim)
+
     def source_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.xs, self.masses, self.dim)
 
@@ -123,10 +123,9 @@ class Coupling:
         each row in it. A row is one `group_atoms` group of the sources, and
         rows are ordered by source, so a row's first entry holds its
         smallest source."""
-        n = len(self)
-        labels = group_atoms(self.xs)
-        order = np.lexsort((*self.ys.reshape(n, self.dim).T[::-1],
-                            *self.xs.reshape(n, self.dim).T[::-1], labels))
+        xs, ys = self.points()
+        labels = group_atoms(xs)
+        order = np.lexsort((*ys.T[::-1], *xs.T[::-1], labels))
         return order, np.flatnonzero(np.diff(labels[order], prepend=-1))
 
     def rows(self):
@@ -157,12 +156,11 @@ class TransportMaps:
     upper_frac: np.ndarray
 
     def __post_init__(self):
-        for name in ("xs", "lower", "upper", "lower_frac", "upper_frac"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.isfinite(arr).all():
-                raise InputError("map values must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        columns = {name: np.asarray(getattr(self, name), dtype=float)
+                   for name in ("xs", "lower", "upper", "lower_frac", "upper_frac")}
+        if not all(np.isfinite(arr).all() for arr in columns.values()):
+            raise InputError("map values must be finite")
+        freeze(self, **columns)
         n = len(self.xs)
         if any(len(getattr(self, f)) != n
                for f in ("lower", "upper", "lower_frac", "upper_frac")):
@@ -333,8 +331,7 @@ def cost(pi: Coupling, p: float) -> float:
     """Transport cost sum(mass * |x-y|^p), |x-y| by `measures.distance`."""
     if not 0.0 < p < np.inf:
         raise InputError(f"cost exponent p={p} must be positive and finite")
-    n, d = len(pi), pi.dim
-    return float(np.dot(pi.masses, distance(pi.xs.reshape(n, d), pi.ys.reshape(n, d)) ** p))
+    return float(np.dot(pi.masses, distance(*pi.points()) ** p))
 
 
 def reflection_residual(pi: Coupling) -> float:
@@ -351,17 +348,18 @@ def reflection_residual(pi: Coupling) -> float:
 def detect_separation(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Largest open interval carrying all mu mass and no nu mass, or None.
 
-    The hull of supp(mu) must be free of nu atoms; the interval then extends
-    to the adjacent nu atoms on each side.
+    The hull of supp(mu) must be free of nu atoms, and no nu atom may be one
+    atom with mu's first or last atom (`nearest_atom`); the interval then
+    extends to the adjacent nu atoms on each side.
     """
     if len(mu) == 0:
         return None
     x_min, x_max = float(mu.positions[0]), float(mu.positions[-1])
     npos = nu.positions
-    if np.any((npos > x_min - POSITION_TOL) & (npos < x_max + POSITION_TOL)):
+    if (np.any((npos > x_min) & (npos < x_max))
+            or np.any(nearest_atom(npos, mu.positions[[0, -1]]) >= 0)):
         return None
-    below = npos[npos <= x_min - POSITION_TOL]
-    above = npos[npos >= x_max + POSITION_TOL]
+    below, above = npos[npos < x_min], npos[npos > x_max]
     a = float(below.max()) if len(below) else x_min - 1.0
     b = float(above.min()) if len(above) else x_max + 1.0
     return SeparationInterval(a, b)
@@ -372,8 +370,8 @@ def coupling_matrix(pi: Coupling, mu: DiscreteMeasure,
     """Dense (len(mu), len(nu)) matrix of entry masses, indexed by atom.
 
     Each entry is credited to its nearest source and target atoms
-    (`nearest_atom`); an entry with no atom within POSITION_TOL on either
-    side raises InputError.
+    (`nearest_atom`); an entry whose source or target matches no atom
+    raises InputError.
     """
     if pi.dim != mu.dim or pi.dim != nu.dim:
         raise InputError("dimension mismatch")

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
 from .measures import (DiscreteMeasure, GridDensity, _merge_groups, check_first_moment,
-                       distance, group_atoms, parse_int, quantize, read_spec,
-                       spec_numbers)
+                       distance, freeze, group_atoms, parse_int, quantize,
+                       read_spec, spec_numbers)
 from .mot1d import Coupling, TransportMaps, cost, reflection_residual
 # only `solve` is called here; perfbench/tracing.py's PATCHES rebinds the rest
 from .pipeline import (common_mass_split, convex_order_check,  # noqa: F401
@@ -65,10 +65,7 @@ class RadialProfile:
             raise InputError("radius grid must be finite, 0 = r0 < ... < rK")
         if len(f) != len(r) - 1 or np.any(f < 0) or np.any(~np.isfinite(f)):
             raise InputError("need one finite nonnegative value per cell")
-        r.setflags(write=False)
-        f.setflags(write=False)
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "values", f)
+        freeze(self, radii=r, values=f)
         # r^d can overflow, and 0 * inf is nan: both make the mass not finite
         with np.errstate(over="ignore", invalid="ignore"):
             mass = self.total_mass()
@@ -118,11 +115,7 @@ class RadialAtoms:
         if not np.isfinite(total):
             raise InputError("the total mass must be finite")
         order = np.argsort(r)
-        r, w = r[order], w[order]
-        r.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "masses", w)
+        freeze(self, radii=r[order], masses=w[order])
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
@@ -382,7 +375,7 @@ def r_equivalent(phi: DiscreteMeasure, psi: DiscreteMeasure, edges,
     if phi.dim != psi.dim:
         raise InputError("measures must share dim")
     edges = np.asarray(edges, dtype=float)
-    r1, r2 = (distance(m.positions.reshape(len(m), m.dim), 0.0) for m in (phi, psi))
+    r1, r2 = (distance(m.points(), 0.0) for m in (phi, psi))
     h1, _ = np.histogram(r1, bins=edges, weights=phi.masses)
     h2, _ = np.histogram(r2, bins=edges, weights=psi.masses)
     if np.abs(h1 - h2).max(initial=0.0) > tol:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from .measures import DiscreteMeasure, group_atoms, nearest_atom, scale_of
 from .mot1d import Coupling, TransportMaps, check_exponent
 
 DETECT_MASS_TOL = 1e-10
+MAP_TOL = 1e-12            # `check_decreasing`, on map positions and fractions
+FLAT_TOL = 1e-12           # `curve_is_constant`, on the cost's spread
+TARGET_REL_TOL = 1e-9      # `count_targets_per_side`, of each row's mass
 
 
 def _row_of(starts: np.ndarray, n: int) -> np.ndarray:
@@ -47,8 +51,7 @@ def _row_of(starts: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
 
 
-@dataclass(frozen=True)
-class ForbiddenConfig:
+class ForbiddenConfig(NamedTuple):
     """A three-point configuration whose swap strictly improves the cost."""
 
     x: float
@@ -57,10 +60,6 @@ class ForbiddenConfig:
     x_prime: float
     y_prime: float
     pattern: str  # "A": y- < x' < x <= y'   "B": y' <= x < x' < y+
-
-    def as_tuple(self):
-        return (self.x, self.y_minus, self.y_plus, self.x_prime,
-                self.y_prime, self.pattern)
 
 
 def _dominance_counts(ranks: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -177,16 +176,16 @@ def swap_gain(x: float, y_minus: float, y_plus: float, x_prime: float,
     return G(x) - G(x_prime)
 
 
-def check_decreasing(maps: TransportMaps, tol: float = 1e-12) -> bool:
+def check_decreasing(maps: TransportMaps) -> bool:
     """True iff both frontier maps are nonincreasing along the rows, with
     equal values allowed only across a shared, partially consumed atom:
     there the earlier row must have left mass in the atom, and consumption
-    can only grow."""
+    can only grow. Positions and fractions are compared within MAP_TOL."""
     for vals, fracs in ((maps.lower, maps.lower_frac),
                         (maps.upper, maps.upper_frac)):
-        same = np.abs(np.diff(vals)) <= tol
-        spent = (fracs[:-1] >= 1.0 - tol) | (fracs[1:] < fracs[:-1] - tol)
-        if ((vals[1:] > vals[:-1] + tol) | (same & spent)).any():
+        same = np.abs(np.diff(vals)) <= MAP_TOL
+        spent = (fracs[:-1] >= 1.0 - MAP_TOL) | (fracs[1:] < fracs[:-1] - MAP_TOL)
+        if ((vals[1:] > vals[:-1] + MAP_TOL) | (same & spent)).any():
             return False
     return True
 
@@ -204,7 +203,6 @@ class DeformationInstance:
     r: float
     z: float
     q: float
-    a: float | None = None  # derived from r, z when omitted
 
     def __post_init__(self):
         if self.r <= 0 or abs(self.z) >= self.r:
@@ -213,10 +211,11 @@ class DeformationInstance:
             raise InputError("barycenter height b must be nonzero")
         if not 0 < self.q < math.inf:
             raise InputError("cost exponent q must be finite and positive")
-        a = math.sqrt(self.r ** 2 - self.z ** 2)
-        if self.a is not None and abs(self.a - a) > 1e-9:
-            raise InputError("a is inconsistent with r, z")
-        object.__setattr__(self, "a", a)
+
+    @property
+    def a(self) -> float:
+        """Half-width of the starting pair: (+-a, z) lies on the circle."""
+        return math.sqrt(self.r ** 2 - self.z ** 2)
 
     def north_south(self, t):
         """Heights of the north/south point pair at deformation time t."""
@@ -252,24 +251,23 @@ def random_deformation_instance(rng: np.random.Generator, q: float) -> Deformati
             return DeformationInstance(b=float(b), r=float(r), z=float(z), q=q)
 
 
-def curve_is_strictly_decreasing(curve, tol: float = 0.0) -> bool:
+def curve_is_strictly_decreasing(curve) -> bool:
     vals = np.asarray([c for _, c in curve])
-    return bool(np.all(np.diff(vals) < -tol))
+    return bool(np.all(np.diff(vals) < 0))
 
 
-def curve_is_constant(curve, tol: float = 1e-12) -> bool:
+def curve_is_constant(curve) -> bool:
     vals = np.asarray([c for _, c in curve])
-    return bool(vals.max() - vals.min() <= tol)
+    return bool(vals.max() - vals.min() <= FLAT_TOL)
 
 
-def count_targets_per_side(pi: Coupling, a: float, b: float,
-                           rel_tol: float = 1e-9):
+def count_targets_per_side(pi: Coupling, a: float, b: float):
     """Per row of a separated coupling, how many nu atoms it touches on each
-    tail. Entries below rel_tol of the row mass are ignored. Returns a list
-    of (n_lower, n_upper) ordered by the source position."""
+    tail. Entries at or below TARGET_REL_TOL of the row mass are ignored.
+    Returns a list of (n_lower, n_upper) ordered by the source position."""
     order, starts = pi.row_segments()
     ys, w = pi.ys[order], pi.masses[order]
-    real = w > rel_tol * np.add.reduceat(w, starts)[_row_of(starts, len(w))]
+    real = w > TARGET_REL_TOL * np.add.reduceat(w, starts)[_row_of(starts, len(w))]
     counts = [np.add.reduceat((real & side).astype(np.intp), starts).tolist()
               for side in (ys <= a, ys >= b)]
     return list(zip(*counts))
@@ -323,8 +321,7 @@ def validate_coupling(pi: Coupling, mu: DiscreteMeasure,
     # sum of w (y - x) per row, x the row's smallest source
     order, starts = pi.row_segments()
     n = len(order)
-    xs = pi.xs.reshape(n, -1)[order]
-    ys = pi.ys.reshape(n, -1)[order]
+    xs, ys = (points[order] for points in pi.points())
     spread = pi.masses[order, None] * (ys - xs[starts][_row_of(starts, n)])
     bary = float(np.abs(np.add.reduceat(spread, starts)).max())
     return ValidationReport(resid[0], resid[1], bary, mass_unit, length_unit)

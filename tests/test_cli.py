@@ -451,6 +451,20 @@ class TestMalformedInput:
         assert main([command, str(path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    # every position and first moment is finite, but some gaps |x - y| pass
+    # the float range: the oracle printed objective=nan with exit 0, and
+    # solve exited 0 with the cost of an LP whose costs held NaN
+    @pytest.mark.parametrize("argv", [["oracle"], ["oracle", "--sense", "max"], ["solve"]])
+    def test_overflowing_cost_exit_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "mu": {"type": "discrete", "atoms": [[-8e307, 0.5], [8e307, 0.5]]},
+            "nu": {"type": "discrete", "atoms": [[-1.2e308, 0.25], [-0.4e308, 0.25],
+                                                 [0.4e308, 0.25], [1.2e308, 0.25]]}}))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows the float range" in captured.err
+
     def test_nan_in_maps_exit_two(self, pair_file, tmp_path):
         out = tmp_path / "pi.json"
         assert main(["solve", pair_file, "--out", str(out)]) == 0

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motkit.lp
 import motkit.mot1d
@@ -220,3 +222,61 @@ class TestLpFailureExitsThree:
         with pytest.raises(SolverFailureError, match="feasibility residual") as info:
             motkit.lp.solve_lp(MU, NU_INSIDE, 1.0)
         assert info.value.residual == 0.5
+
+
+GRID = 16   # positions are multiples of 1/GRID: mu's inside (-1, 1), nu's outside
+
+
+@st.composite
+def permuted_split_pairs(draw):
+    """A pair in convex order, each of mu's atoms spread over a lower and an
+    upper atom of nu, plus common atoms on half-grid positions that the
+    split removes whole; and the same pair with each side's atoms permuted
+    and one atom of each side split into two exact halves at its position."""
+    k = draw(st.integers(1, 5))
+    xs = np.array(sorted(draw(st.sets(st.integers(-GRID + 1, GRID - 1),
+                                      min_size=k, max_size=k)))) / GRID
+    ms = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    pool = st.integers(GRID, 3 * GRID)
+    acc = {}
+    for x, m in zip(xs.tolist(), ms.tolist()):
+        lo, hi = -draw(pool) / GRID, draw(pool) / GRID
+        t = (hi - x) / (hi - lo)
+        acc[lo] = acc.get(lo, 0.0) + m * t
+        acc[hi] = acc.get(hi, 0.0) + m * (1 - t)
+    common = draw(st.lists(st.tuples(st.integers(-3 * GRID, 3 * GRID), st.floats(0.05, 1.0)),
+                           max_size=2, unique_by=lambda c: c[0]))
+    cpos = np.array([(2 * c + 1) / (2 * GRID) for c, _ in common])
+    cw = np.array([w for _, w in common])
+    sides = [(np.concatenate([xs, cpos]), np.concatenate([ms, cw])),
+             (np.concatenate([list(acc), cpos]), np.concatenate([list(acc.values()), cw]))]
+    scrambled = []
+    for pos, w in sides:
+        perm = np.array(draw(st.permutations(range(len(w)))))
+        i = draw(st.integers(0, len(w) - 1))
+        pos, w = pos[perm], w[perm]
+        scrambled.append((np.insert(pos, i, pos[i]),
+                          np.concatenate([w[:i], [w[i] / 2, w[i] / 2], w[i + 1:]])))
+    return sides, scrambled, draw(st.sampled_from([0.5, 1.0]))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPermutedAndSplitAtoms:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(permuted_split_pairs())
+    def test_measures_and_couplings_keep_their_bits(self, case):
+        sides, scrambled, p = case
+        mu, nu = (DiscreteMeasure(*side) for side in sides)
+        mu2, nu2 = (DiscreteMeasure(*side) for side in scrambled)
+        for a, b in ((mu, mu2), (nu, nu2)):
+            assert same_bits(a.positions, b.positions) and same_bits(a.masses, b.masses)
+        for method in ("sweep", "lp"):
+            want = solve(mu, nu, p, method=method)
+            got = solve(mu2, nu2, p, method=method)
+            assert got.route == want.route == method
+            pi, ref = got.coupling(), want.coupling()
+            for name in ("xs", "ys", "masses"):
+                assert same_bits(getattr(pi, name), getattr(ref, name))

@@ -9,6 +9,7 @@ written out as the rows of `columns()`. Every file the new writers produce
 must equal the oracle's bytes, and every text of the kernel `repr`'s.
 """
 
+import itertools
 import json
 import sys
 import threading
@@ -275,6 +276,25 @@ class TestFloatTexts:
         finally:
             sys.setswitchinterval(old)
         assert got == ["".join(f"{t}\n" for t in reprs(v)) for v in values]
+
+    def test_generators_read_in_turn(self):
+        # generators of one thread share its scratch buffers: each must copy
+        # its block out before it yields, whatever the other one writes
+        rng = np.random.default_rng(17)
+        values = [rng.random(10 ** 4), rng.random(10 ** 4) * 1e5, rng.random(2 * BLOCK)]
+        gens = [text_rows([values[0]], b"", b"", b"\n"),
+                text_rows([values[1]], b"", b"", b"\n"),
+                text_rows([values[2][:BLOCK], values[2][BLOCK:]], b"[", b", ", b"]", b", ")]
+        parts = [[] for _ in gens]
+        for chunks in itertools.zip_longest(*gens):
+            for part, chunk in zip(parts, chunks):
+                if chunk is not None:
+                    part.append(bytes(chunk))
+        got = [b"".join(part).decode() for part in parts]
+        assert got[0] == "".join(f"{t}\n" for t in reprs(values[0]))
+        assert got[1] == "".join(f"{t}\n" for t in reprs(values[1]))
+        pairs = zip(reprs(values[2][:BLOCK]), reprs(values[2][BLOCK:]))
+        assert got[2] == ", ".join(f"[{x}, {y}]" for x, y in pairs)
 
     def test_every_value_through_the_fallback(self, monkeypatch, tmp_path):
         # with an infinite margin no decision is sure, so repr formats all
