@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, SolverFailureError
-from .measures import Coupling, DiscreteMeasure, distance, same_atom, scale_of
+from .measures import Coupling, DiscreteMeasure, distance, scale_of
 
 # tolerances in the LP's units (mu's mass 1, largest cost 1)
 PIVOT_TOL = 1e-9
@@ -411,15 +411,6 @@ def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     prob = MotLp(mu, nu, p, sense, scale)
     return _solution(prob, *simplex_solve(prob.A, prob.b, prob.objective_vector(),
                                           prob.start, FEAS_TOL * prob.tol_unit))
-
-
-def diagonal_mass(sol: LpSolution) -> float:
-    """Mass the optimal coupling keeps fixed: entries whose x and y are one
-    atom (`measures.same_atom`)."""
-    if sol.status != "optimal":
-        raise InputError("diagonal_mass requires an optimal solution")
-    pi = sol.coupling
-    return float(pi.masses[same_atom(*pi.points())].sum())
 
 
 def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:

@@ -268,16 +268,8 @@ class Coupling:
             raise InputError("entry positions must be finite")
         freeze(self, xs=xs, ys=ys, masses=w)
 
-    @classmethod
-    def from_entries(cls, entries, dim: int = 1) -> "Coupling":
-        entries = list(entries)
-        return cls(*(np.asarray([e[i] for e in entries]) for i in range(3)), dim)
-
     def __len__(self) -> int:
         return len(self.masses)
-
-    def entries(self):
-        return list(zip(self.xs, self.ys, self.masses))
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
@@ -305,18 +297,6 @@ class Coupling:
             freeze(self, _order=order,
                    _starts=np.flatnonzero(np.diff(labels[order], prepend=-1)))
         return self._order, self._starts
-
-    def rows(self):
-        """Group entries by source atom: list of (x, target array, mass array).
-
-        Rows follow `row_segments`: x is the row's smallest source and
-        entries are sorted by (x, y).
-        """
-        order, starts = self.row_segments()
-        xs, ys, w = self.xs[order], self.ys[order], self.masses[order]
-        ends = np.append(starts[1:], len(order))
-        return [(float(xs[s]) if self.dim == 1 else xs[s], ys[s:e], w[s:e])
-                for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 @dataclass(frozen=True)
@@ -370,15 +350,20 @@ class GridDensity:
             raise InputError("grid density has zero total mass")
         freeze(self, values=vals)
 
+    def _half_width(self) -> float:
+        # the ends are halved first, as lo + hi and hi - lo may pass the float
+        # range; halving is exact, so at normal scales no bit changes
+        return (0.5 * self.hi - 0.5 * self.lo) / self.n
+
     @property
     def cell_width(self) -> float:
-        return (self.hi - self.lo) / self.n
+        return 2 * self._half_width()
 
     def midpoints(self) -> np.ndarray:
         # centered form: exactly antisymmetric midpoints on symmetric grids
-        center = 0.5 * (self.lo + self.hi)
+        center = 0.5 * self.lo + 0.5 * self.hi
         offsets = 2 * np.arange(self.n) + 1 - self.n
-        return center + offsets * ((self.hi - self.lo) / (2 * self.n))
+        return center + offsets * self._half_width()
 
     def total_mass(self) -> float:
         return float(self.values.sum() * self.cell_width)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InputError, NotInConvexOrderError, SolverFailureError
 from .measures import (Coupling, DiscreteMeasure, GridDensity, TransportMaps,
                        _merge_groups, check_first_moment, distance, freeze,
-                       group_atoms, parse_int, quantize, read_spec, spec_numbers)
+                       parse_int, quantize, read_spec, spec_numbers)
 from .mot1d import cost, reflection_residual, solve
 # not called here; perfbench/tracing.py's PATCHES rebinds them (mot1d.solve reads its own)
 from .measures import common_mass_split, convex_order_check  # noqa: F401
@@ -354,54 +354,6 @@ def rotation_group_2d(n: int = 360):
         out.append(np.array([[math.cos(t), -math.sin(t)],
                              [math.sin(t), math.cos(t)]]))
     return out
-
-
-def rotate_pushforward(pi: Coupling, M: np.ndarray) -> Coupling:
-    """Apply an orthogonal map to both coordinates of a coupling."""
-    M = np.asarray(M, dtype=float)
-    if pi.dim < 2:
-        raise InputError("rotation needs dim >= 2 couplings")
-    if M.shape != (pi.dim, pi.dim):
-        raise InputError("matrix shape must match the coupling dimension")
-    if np.abs(M.T @ M - np.eye(pi.dim)).max() > 1e-12:
-        raise InputError("matrix is not orthogonal within 1e-12")
-    return Coupling(pi.xs @ M.T, pi.ys @ M.T, pi.masses, pi.dim)
-
-
-def r_equivalent(phi: DiscreteMeasure, psi: DiscreteMeasure, edges,
-                 tol: float = 1e-9) -> bool:
-    """Same mass on every annulus (per `edges`) and, radius by radius, the
-    same mass, with radii matched by `group_atoms` and masses within tol."""
-    if phi.dim != psi.dim:
-        raise InputError("measures must share dim")
-    edges = np.asarray(edges, dtype=float)
-    r1, r2 = (distance(m.points(), 0.0) for m in (phi, psi))
-    h1, _ = np.histogram(r1, bins=edges, weights=phi.masses)
-    h2, _ = np.histogram(r2, bins=edges, weights=psi.masses)
-    if np.abs(h1 - h2).max(initial=0.0) > tol:
-        return False
-    labels = group_atoms(np.concatenate([r1, r2]))
-    n = int(labels.max(initial=-1)) + 1
-    gap = (np.bincount(labels[:len(r1)], weights=phi.masses, minlength=n)
-           - np.bincount(labels[len(r1):], weights=psi.masses, minlength=n))
-    return bool(np.abs(gap).max(initial=0.0) <= tol)
-
-
-def l_symmetrize_2d(phi: DiscreteMeasure, direction) -> DiscreteMeasure:
-    """Average a planar measure with its reflection across the line spanned
-    by `direction`; the result is symmetric about that line and costs the
-    same to any point on it."""
-    if phi.dim != 2:
-        raise InputError("l_symmetrize_2d requires dim=2")
-    u = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise InputError("line direction must be nonzero")
-    u = u / norm
-    refl = 2.0 * np.outer(u, u) - np.eye(2)
-    pos = np.vstack([phi.positions, phi.positions @ refl.T])
-    w = np.concatenate([phi.masses / 2, phi.masses / 2])
-    return DiscreteMeasure(pos, w, dim=2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ Three kinds of certificates:
   point whenever h'(s)/s is strictly decreasing (h(s) = s^q, 0 < q < 2);
   at q = 2 the cost curve is exactly flat.
 
-Per-row quantities (target bounds, barycenter residuals, target counts) are
-segment reductions over one sort of the entries, `Coupling.row_segments`.
+Per-row quantities (target bounds, barycenter residuals) are segment
+reductions over one sort of the entries, `Coupling.row_segments`.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .measures import (Coupling, DiscreteMeasure, TransportMaps, check_exponent,
-                       group_atoms, nearest_atom, scale_of)
+from .measures import (Coupling, DiscreteMeasure, TransportMaps, group_atoms,
+                       nearest_atom, scale_of)
 
 DETECT_MASS_TOL = 1e-10
 MAP_TOL = 1e-12            # `check_decreasing`, on map positions and fractions
 FLAT_TOL = 1e-12           # `curve_is_constant`, on the cost's spread
-TARGET_REL_TOL = 1e-9      # `count_targets_per_side`, of each row's mass
 
 
 def _row_of(starts: np.ndarray, n: int) -> np.ndarray:
@@ -157,25 +156,6 @@ def detect_forbidden(pi: Coupling, tol: float = DETECT_MASS_TOL):
     return found
 
 
-def swap_gain(x: float, y_minus: float, y_plus: float, x_prime: float,
-              y_prime: float, p: float) -> float:
-    """Cost saved by the three-point swap; positive iff the configuration
-    is forbidden. Equals G(x) - G(x') for
-    G(z) = t|z-y-|^p + (1-t)|z-y+|^p - |z-y'|^p with t y- + (1-t) y+ = y'."""
-    if not (y_minus < y_prime < y_plus):
-        raise InputError("need y_minus < y_prime < y_plus")
-    check_exponent(p)
-    t = (y_plus - y_prime) / (y_plus - y_minus)
-    if not (0.0 < t < 1.0):
-        raise InputError(f"degenerate barycenter weight t={t}")
-
-    def G(z):
-        return (t * abs(z - y_minus) ** p + (1 - t) * abs(z - y_plus) ** p
-                - abs(z - y_prime) ** p)
-
-    return G(x) - G(x_prime)
-
-
 def check_decreasing(maps: TransportMaps) -> bool:
     """True iff both frontier maps are nonincreasing along the rows, with
     equal values allowed only across a shared, partially consumed atom:
@@ -259,18 +239,6 @@ def curve_is_strictly_decreasing(curve) -> bool:
 def curve_is_constant(curve) -> bool:
     vals = np.asarray([c for _, c in curve])
     return bool(vals.max() - vals.min() <= FLAT_TOL)
-
-
-def count_targets_per_side(pi: Coupling, a: float, b: float):
-    """Per row of a separated coupling, how many nu atoms it touches on each
-    tail. Entries at or below TARGET_REL_TOL of the row mass are ignored.
-    Returns a list of (n_lower, n_upper) ordered by the source position."""
-    order, starts = pi.row_segments()
-    ys, w = pi.ys[order], pi.masses[order]
-    real = w > TARGET_REL_TOL * np.add.reduceat(w, starts)[_row_of(starts, len(w))]
-    counts = [np.add.reduceat((real & side).astype(np.intp), starts).tolist()
-              for side in (ys <= a, ys >= b)]
-    return list(zip(*counts))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from scipy.sparse import coo_matrix
 
 from motkit import (Coupling, DiscreteMeasure, GridDensity, MotkitError, MotLp,
                     RadialAtoms, solve_lp)
+from lemmas import from_entries, row_list
 
 
 def separated_instance(rng, kmax=15, pool_max=7):
@@ -151,7 +152,7 @@ def plant_cross_swap(pi: Coupling, a: float, b: float, tol=1e-9):
     """Swap upper-tail mass between two rows of a separated coupling to
     create a forbidden configuration. Returns the perturbed Coupling, or
     None when no row pair has distinct upper targets."""
-    rows = pi.rows()
+    rows = row_list(pi)
     uppers = []
     for x, ys, ws in rows:
         hi = ys >= b
@@ -184,7 +185,7 @@ def plant_cross_swap(pi: Coupling, a: float, b: float, tol=1e-9):
     agg[(x, up)] = agg.get((x, up), 0.0) + delta
     agg[(xp, u)] = agg.get((xp, u), 0.0) + delta
     entries = [(k[0], k[1], v) for k, v in sorted(agg.items()) if v > 1e-15]
-    return Coupling.from_entries(entries)
+    return from_entries(entries)
 
 
 def spread_pair_instance(rng, m):

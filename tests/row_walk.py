@@ -7,11 +7,12 @@ Python loop. Copied unchanged apart from the names.
 
 import numpy as np
 
-from motkit import (Coupling, DiscreteMeasure, InputError,
-                    NotInConvexOrderError, SeparationError,
-                    SeparationInterval, SolverFailureError, TransportMaps)
+from motkit import (DiscreteMeasure, InputError, NotInConvexOrderError,
+                    SeparationError, SeparationInterval, SolverFailureError,
+                    TransportMaps)
 from motkit.measures import MASS_TOL, convex_order_check
 from motkit.mot1d import SNAP_FRACTION
+from lemmas import from_entries
 
 
 class _Frontier:
@@ -184,4 +185,4 @@ def row_walk_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure,
             f"nu mass left unconsumed after sweep: {leftover:.3e}",
             residual=leftover)
 
-    return Coupling.from_entries(entries), TransportMaps(*np.asarray(map_rows).T)
+    return from_entries(entries), TransportMaps(*np.asarray(map_rows).T)

@@ -14,18 +14,17 @@ from scipy import stats
 
 from motkit import (DiscreteMeasure, RadialAtoms, RadialProfile,
                     check_decreasing, common_mass_split, convex_order_check,
-                    cost, count_targets_per_side, coupling_matrix,
-                    deformation_curve, detect_forbidden, detect_separation,
-                    induce_1d, quantize, reflection_residual, sample_lifted,
-                    solve_lp, solve_radial, swap_gain,
-                    uniqueness_probe, DeformationInstance,
-                    random_deformation_instance)
+                    cost, coupling_matrix, deformation_curve, detect_forbidden,
+                    detect_separation, induce_1d, quantize, reflection_residual,
+                    sample_lifted, solve_lp, solve_radial, uniqueness_probe,
+                    DeformationInstance, random_deformation_instance)
 from motkit.mot1d import solve_sweep
 from instances import (not_in_order_instance, overlapping_instance,
                        plant_cross_swap, polyhedron_directions, ring_directions,
                        ring_instance, rotation_2d, separated_instance,
                        shell_atoms, shell_spread, six_atom_symmetric_nu,
                        triangular_grid)
+from lemmas import count_targets_per_side, swap_gain
 
 SEED = 20260811
 

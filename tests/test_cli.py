@@ -603,7 +603,9 @@ class TestLargeScales:
     # two positions passes the float range: the sweep's slope overflowed
     # (solve and solve-radial exited 3 with a barycenter residual of 7e307),
     # so did the sum of the ends of its interval (exit 3, nu mass left over),
-    # and so did the atom rule's gap (solve-radial warned of an overflow)
+    # and so did the atom rule's gap (solve-radial warned of an overflow);
+    # a grid's lo + hi and hi - lo overflowed its midpoints and cell width
+    # (exit 2, "positions and masses must be finite")
     NEAR_MAX = {
         "slope": ("solve", {
             "mu": {"type": "discrete", "atoms": [[-5e307, 0.5], [5e307, 0.5]]},
@@ -617,6 +619,10 @@ class TestLargeScales:
         "radial-atom-rule": ("solve-radial", {
             "dim": 3, "mu": {"type": "radial-atoms", "atoms": [[5e307, 1.0]]},
             "nu": {"type": "radial-atoms", "atoms": [[2.5e307, 0.5], [9.5e307, 0.5]]}}),
+        "grid": ("solve", {
+            "mu": {"type": "grid", "lo": 1.1e308, "hi": 1.3e308, "n": 2,
+                   "values": [5e-308, 5e-308]},
+            "nu": {"type": "discrete", "atoms": [[1e308, 0.5], [1.4e308, 0.5]]}}),
     }
 
     @pytest.mark.parametrize("case", list(NEAR_MAX))
@@ -660,3 +666,30 @@ class TestImports:
                    if isinstance(node, ast.ImportFrom) and node.level
                    for alias in node.names}
         assert package == {".errors", ".measures"}
+
+    def test_every_import_is_used(self):
+        # an import left behind when a definition moves out of a module;
+        # names on a `# noqa: F401` line are kept for the tracer to rebind
+        package = Path(__file__).resolve().parents[1] / "src" / "motkit"
+        unused = {}
+        for path in sorted(package.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text()
+            lines = text.splitlines()
+            tree = ast.parse(text)
+            imported = {(alias.asname or alias.name).split(".")[0]
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        and "# noqa: F401" not in lines[node.end_lineno - 1]
+                        for alias in node.names}
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            if imported - used:
+                unused[path.name] = sorted(imported - used)
+        assert unused == {}
+
+    def test_every_public_name_resolves(self):
+        import motkit
+        for name in motkit.__all__:
+            assert getattr(motkit, name) is not None

@@ -5,13 +5,13 @@ from scipy.optimize import linprog
 import motkit.lp
 from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
                     SolverFailureError, common_mass_split, cost, detect_separation,
-                    diagonal_mass, solve_lp, solve_radial, uniqueness_probe,
-                    validate_coupling)
+                    solve_lp, solve_radial, uniqueness_probe, validate_coupling)
 from motkit.lp import RESIDUAL_TOL, Nonzeros, _Basis, simplex_solve
 from motkit.mot1d import solve_sweep
 from instances import (overlapping_instance, ring_directions, ring_instance,
                        rotation_2d, scipy_matrix, separated_instance, shell_atoms,
                        split_grid_failure, spread_pair_instance)
+from lemmas import diagonal_mass
 
 
 def nonzeros(dense: np.ndarray) -> Nonzeros:

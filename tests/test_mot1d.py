@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motkit import (Coupling, DiscreteMeasure, InputError,
+from motkit import (DiscreteMeasure, InputError,
                     NotInConvexOrderError, SeparationInterval, cost,
                     coupling_matrix, detect_separation, reflection_residual,
                     solve, solve_lp, validate_coupling)
 from motkit.mot1d import (SNAP_FRACTION, read_coupling_json, solve_sweep,
                           write_coupling_json, write_maps_csv)
 from instances import separated_instance, six_atom_symmetric_nu, triangular_grid
+from lemmas import count_targets_per_side, entry_list, from_entries, row_list
 from motkit import RadialAtoms, RadialProfile, induce_1d, induced_atoms, quantize
 from row_walk import row_walk_sweep
 
@@ -36,7 +37,7 @@ class TestSweepExamples:
     def test_point_mass_forced_split(self):
         mu = DiscreteMeasure([0.0], [1.0])
         pi, maps = solve_sweep(mu, NU_SYM, I_UNIT)
-        assert sorted(pi.entries()) == [(0.0, -2.0, 0.5), (0.0, 2.0, 0.5)]
+        assert sorted(entry_list(pi)) == [(0.0, -2.0, 0.5), (0.0, 2.0, 0.5)]
         assert cost(pi, 1.0) == 2.0
         assert cost(pi, 0.5) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
@@ -44,7 +45,7 @@ class TestSweepExamples:
         mu = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
         pi, _ = solve_sweep(mu, NU_SYM, I_UNIT)
         oracle = two_atom_row_oracle(mu, NU_SYM)
-        for x, ys, ws in pi.rows():
+        for x, ys, ws in row_list(pi):
             for y, w in zip(ys, ws):
                 assert w == pytest.approx(oracle[x][float(y)], abs=1e-12)
         assert oracle[-0.5][-2.0] == pytest.approx(0.3125)
@@ -64,7 +65,7 @@ class TestSweepExamples:
             whi = sum(r[yhi] for r in oracle.values())
             nu = DiscreteMeasure([ylo, yhi], [wlo, whi])
             pi, _ = solve_sweep(mu, nu, I_UNIT)
-            for x, ys, ws_ in pi.rows():
+            for x, ys, ws_ in row_list(pi):
                 for y, w in zip(ys, ws_):
                     assert w == pytest.approx(oracle[x][float(y)], abs=1e-11)
 
@@ -100,7 +101,7 @@ class TestSweepAgainstLp:
             mu, nu = separated_instance(rng)
             interval = detect_separation(mu, nu)
             pi, _ = solve_sweep(mu, nu, interval)
-            rows = pi.rows()
+            rows = row_list(pi)
             for (x1, ys1, ws1), (x2, ys2, ws2) in zip(rows, rows[1:]):
                 assert x1 < x2
                 for side in ("lower", "upper"):
@@ -122,7 +123,7 @@ class TestSweepAgainstLp:
             pi, _ = solve_sweep(mu, nu, interval)
             lower = np.sort(nu.positions[nu.positions <= interval.a])
             upper = np.sort(nu.positions[nu.positions >= interval.b])
-            for _, ys, ws in pi.rows():
+            for _, ys, ws in row_list(pi):
                 real = ys[ws > 1e-9 * ws.sum()]
                 for side in (lower, upper):
                     hit = np.nonzero(np.isin(side, real))[0]
@@ -165,7 +166,7 @@ class TestExactSweep:
         mu, nu = self.heavy_instance()
         interval = detect_separation(mu, nu)
         pi, _ = solve_sweep(mu, nu, interval)
-        _, ys, _ = pi.rows()[1]
+        _, ys, _ = row_list(pi)[1]
         assert (ys <= interval.a).sum() >= 3 and (ys >= interval.b).sum() >= 3
         mat = coupling_matrix(pi, mu, nu)
         for p in (0.5, 1.0):
@@ -217,7 +218,6 @@ class TestTwoPointSupport:
             mu = quantize(triangular_grid(n))
             interval = detect_separation(mu, nu)
             pi, _ = solve_sweep(mu, nu, interval)
-            from motkit import count_targets_per_side
             counts = count_targets_per_side(pi, interval.a, interval.b)
             assert all(lo <= 2 and hi <= 2 for lo, hi in counts)
             multi = sum(1 for lo, hi in counts if lo > 1 or hi > 1)
@@ -261,7 +261,7 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf")])
     def test_cost_rejects_exponent_outside_positive_finite(self, p):
-        pi = Coupling.from_entries([(0.0, 1.0, 1.0)])
+        pi = from_entries([(0.0, 1.0, 1.0)])
         with pytest.raises(InputError, match="positive and finite"):
             cost(pi, p)
         assert cost(pi, 2.0) == 1.0
@@ -288,7 +288,7 @@ class TestSerialization:
         write_coupling_json(path, pi, cost(pi, 1.0), maps)
         pi2, c2, maps2 = read_coupling_json(path)
         assert c2 == pytest.approx(1.875)
-        assert sorted(pi2.entries()) == sorted(pi.entries())
+        assert sorted(entry_list(pi2)) == sorted(entry_list(pi))
         assert np.allclose(maps2.lower, maps.lower)
 
     def test_maps_csv_header(self, tmp_path):
@@ -390,16 +390,16 @@ class TestCumulativeSweepProperty:
         pi, maps = solve_sweep(mu_s, nu_s, interval)
         tol = 1e-12 * max(1.0, mu.total_mass())   # ten times the snap
         pairs = {}
-        for x, y, w in pi_ref.entries():
+        for x, y, w in entry_list(pi_ref):
             pairs[x + shift, y + shift] = pairs.get((x + shift, y + shift), 0.0) - w
-        for x, y, w in pi.entries():
+        for x, y, w in entry_list(pi):
             pairs[x, y] = pairs.get((x, y), 0.0) + w
         assert max(map(abs, pairs.values()), default=0.0) <= tol
         # pairs above tol in either coupling are in both, in the same order
-        heavy = {(x, y) for x, y, w in pi.entries() if w > tol}
-        heavy |= {(x + shift, y + shift) for x, y, w in pi_ref.entries() if w > tol}
-        order = [(x, y) for x, y, _ in pi.entries() if (x, y) in heavy]
-        assert order == [(x + shift, y + shift) for x, y, _ in pi_ref.entries()
+        heavy = {(x, y) for x, y, w in entry_list(pi) if w > tol}
+        heavy |= {(x + shift, y + shift) for x, y, w in entry_list(pi_ref) if w > tol}
+        order = [(x, y) for x, y, _ in entry_list(pi) if (x, y) in heavy]
+        assert order == [(x + shift, y + shift) for x, y, _ in entry_list(pi_ref)
                          if (x + shift, y + shift) in heavy]
         # the maps: the same consumed mass per row and side, and the same
         # atoms unless the frontier stands within tol of a kink
@@ -430,9 +430,9 @@ class TestCumulativeSweepProperty:
         bound = 32 * np.finfo(float).eps * mu.total_mass()
         assert mu.masses.min() < 1e-9 * mu.total_mass()
         pairs = {}
-        for x, y, w in ref.entries():
+        for x, y, w in entry_list(ref):
             pairs[x, y] = pairs.get((x, y), 0.0) - w
-        for x, y, w in pi.entries():
+        for x, y, w in entry_list(pi):
             pairs[x, y] = pairs.get((x, y), 0.0) + w
         assert max(map(abs, pairs.values())) <= bound
         rows = np.bincount(np.searchsorted(mu.positions, pi.xs), pi.masses, len(mu))

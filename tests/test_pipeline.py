@@ -17,6 +17,7 @@ from motkit.cli import main
 from motkit.lp import LpSolution
 from motkit.measures import scale_of
 from instances import separated_instance, spread_pair_instance
+from lemmas import entry_list
 
 MU = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
 NU = DiscreteMeasure([-2.0, 2.0], [0.5, 0.5])
@@ -55,7 +56,7 @@ class TestRoute:
         sol = solve(mu, nu, 1.0)
         assert sol.route == "sweep"
         assert sol.common.positions.tolist() == [1.0]
-        first = sol.coupling().entries()[0]
+        first = entry_list(sol.coupling())[0]
         assert first == (1.0, 1.0, 0.2)
 
     def test_nothing_left_to_move(self):

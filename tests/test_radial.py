@@ -6,12 +6,13 @@ import pytest
 from scipy import stats
 
 from motkit import (Coupling, DiscreteMeasure, InputError, RadialAtoms, RadialProfile,
-                    cost, induce_1d, induced_atoms, l_symmetrize_2d, quantize,
-                    r_equivalent, reflection_residual, rotate_pushforward,
+                    cost, induce_1d, induced_atoms, quantize, reflection_residual,
                     sample_lifted, solve_lp, solve_radial, symmetrize_coupling,
                     unit_sphere_area, validate_coupling)
 from motkit.radial import load_radial_pair
 from instances import ring_instance, rotation_2d
+from lemmas import (entry_list, from_entries, l_symmetrize_2d, r_equivalent,
+                    rotate_pushforward)
 
 
 def disk_profile(radius=1.0, cells=50):
@@ -28,21 +29,21 @@ def ball_profile(radius=1.0, cells=40):
 
 class TestSymmetrizeCoupling:
     def test_asymmetric_coupling_averaged_with_its_mirror(self):
-        pi = Coupling.from_entries([(1.0, 2.0, 0.5), (-1.0, -2.0, 0.25), (0.0, 0.0, 0.1),
-                                    (-1.0, 1.0, 0.125), (0.5, 1.5, 0.3)])
+        pi = from_entries([(1.0, 2.0, 0.5), (-1.0, -2.0, 0.25), (0.0, 0.0, 0.1),
+                           (-1.0, 1.0, 0.125), (0.5, 1.5, 0.3)])
         out = symmetrize_coupling(pi)
         assert reflection_residual(out) == 0.0
         assert out.total_mass() == pytest.approx(pi.total_mass(), rel=1e-15)
         assert np.array_equal(np.lexsort((out.ys, out.xs)), np.arange(len(out)))
-        mass = {(x, y): w for x, y, w in pi.entries()}
+        mass = {(x, y): w for x, y, w in entry_list(pi)}
         assert len(out) == 7
-        for x, y, w in out.entries():
+        for x, y, w in entry_list(out):
             assert w == 0.5 * (mass.get((x, y), 0.0) + mass.get((-x, -y), 0.0))
 
     def test_symmetric_sorted_coupling_unchanged(self):
-        pi = Coupling.from_entries([(-1.0, -2.0, 0.3), (-1.0, 1.0, 0.1), (0.0, -1.0, 0.2),
-                                    (0.0, 0.0, 0.7), (0.0, 1.0, 0.2), (1.0, -1.0, 0.1),
-                                    (1.0, 2.0, 0.3)])
+        pi = from_entries([(-1.0, -2.0, 0.3), (-1.0, 1.0, 0.1), (0.0, -1.0, 0.2),
+                           (0.0, 0.0, 0.7), (0.0, 1.0, 0.2), (1.0, -1.0, 0.1),
+                           (1.0, 2.0, 0.3)])
         out = symmetrize_coupling(pi)
         for name in ("xs", "ys", "masses"):
             assert np.array_equal(getattr(out, name), getattr(pi, name))
@@ -205,7 +206,7 @@ class TestSolveRadial:
         mu = RadialAtoms(2, [1.0, 3.0], [0.8, 0.2])
         nu = RadialAtoms(2, [0.5, 2.0, 3.0], [0.8 * 2 / 3, 0.8 / 3, 0.2])
         lifted, _ = solve_radial(mu, nu, 1.0)
-        diag = sum(w for x, y, w in lifted.base.entries() if x == y)
+        diag = sum(w for x, y, w in entry_list(lifted.base) if x == y)
         assert diag == pytest.approx(0.2, abs=1e-12)
 
     def test_order_failure_reports_refinement(self):

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 
 from motkit import (Coupling, DeformationInstance, DiscreteMeasure,
                     InputError, TransportMaps, check_decreasing,
-                    count_targets_per_side, coupling_matrix,
-                    curve_is_constant, curve_is_strictly_decreasing,
-                    deformation_curve, detect_forbidden, detect_separation,
-                    quantize, random_deformation_instance,
-                    swap_gain, validate_coupling)
+                    coupling_matrix, curve_is_constant,
+                    curve_is_strictly_decreasing, deformation_curve,
+                    detect_forbidden, detect_separation, quantize,
+                    random_deformation_instance, validate_coupling)
 from motkit.mot1d import solve_sweep
 from motkit.verify import DETECT_MASS_TOL, ForbiddenConfig, _flag_rows
 from instances import (plant_cross_swap, separated_instance,
                        six_atom_symmetric_nu, triangular_grid)
+from lemmas import count_targets_per_side, from_entries, row_list, swap_gain
 
 
 def exhaustive_forbidden(pi, tol=DETECT_MASS_TOL):
@@ -65,13 +65,13 @@ def grid_couplings(draw):
         w = draw(st.tuples(entry_masses, entry_masses, entry_masses))
         entries += [(x, y_m, w[0]), (x, y_p, w[1]), (x_p, y_pr, w[2])]
     order = draw(st.permutations(range(len(entries))))
-    return Coupling.from_entries([entries[i] for i in order])
+    return from_entries([entries[i] for i in order])
 
 
 class TestDetectForbidden:
     def test_pattern_a_instantiation(self):
-        pi = Coupling.from_entries([(0.0, -2.0, 0.25), (0.0, 2.0, 0.25),
-                                    (-1.0, 1.0, 0.5)])
+        pi = from_entries([(0.0, -2.0, 0.25), (0.0, 2.0, 0.25),
+                           (-1.0, 1.0, 0.5)])
         found = detect_forbidden(pi)
         assert len(found) == 1
         cfg = found[0]
@@ -80,8 +80,8 @@ class TestDetectForbidden:
             (0.0, -2.0, 2.0, -1.0, 1.0)
 
     def test_pattern_b_instantiation(self):
-        pi = Coupling.from_entries([(0.0, -2.0, 0.25), (0.0, 2.0, 0.25),
-                                    (0.5, -1.0, 0.5)])
+        pi = from_entries([(0.0, -2.0, 0.25), (0.0, 2.0, 0.25),
+                           (0.5, -1.0, 0.5)])
         found = detect_forbidden(pi)
         assert [c.pattern for c in found] == ["B"]
 
@@ -106,8 +106,8 @@ class TestDetectForbidden:
             planted += 1
 
     def test_mass_threshold_excludes_dust(self):
-        pi = Coupling.from_entries([(0.0, -2.0, 0.25), (0.0, 2.0, 1e-13),
-                                    (-1.0, 1.0, 0.5)])
+        pi = from_entries([(0.0, -2.0, 0.25), (0.0, 2.0, 1e-13),
+                           (-1.0, 1.0, 0.5)])
         assert detect_forbidden(pi, tol=1e-10) == []
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -128,9 +128,9 @@ class TestDetectForbidden:
 
     def test_dust_at_threshold_ignored(self):
         entries = [(0.0, -2.0, 0.25), (0.0, 2.0, 0.25), (-1.0, 1.0, DETECT_MASS_TOL)]
-        assert detect_forbidden(Coupling.from_entries(entries)) == []
+        assert detect_forbidden(from_entries(entries)) == []
         entries[2] = (-1.0, 1.0, 2 * DETECT_MASS_TOL)
-        assert len(detect_forbidden(Coupling.from_entries(entries))) == 1
+        assert len(detect_forbidden(from_entries(entries))) == 1
 
     def test_triangular_pair_at_scale_clean(self):
         mu = quantize(triangular_grid(64_000))
@@ -334,7 +334,7 @@ class TestValidateCoupling:
             interval = detect_separation(mu, nu)
             pi, _ = solve_sweep(mu, nu, interval)
             pi = plant_cross_swap(pi, interval.a, interval.b) or pi
-            rows = pi.rows()
+            rows = row_list(pi)
             bary = max(float(np.abs(ws @ ys - x * ws.sum()).max()) for x, ys, ws in rows)
             assert validate_coupling(pi, mu, nu).barycenter_residual == \
                 pytest.approx(bary, abs=1e-15)
@@ -365,7 +365,7 @@ class TestValidateCoupling:
     def test_offset_entry_rejected_by_matrix_and_validator(self):
         mu = DiscreteMeasure([0.0], [1.0])
         nu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
-        pi = Coupling.from_entries([(5e-10, -1.0, 0.5), (5e-10, 1.0, 0.5)])
+        pi = from_entries([(5e-10, -1.0, 0.5), (5e-10, 1.0, 0.5)])
         with pytest.raises(InputError):
             coupling_matrix(pi, mu, nu)
         assert validate_coupling(pi, mu, nu).row_residual == 1.0
