@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import threading
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .mot1d import (cost, read_coupling_json, solve, write_coupling_json,
                     write_induced_csv, write_maps_csv)
 # not called here; perfbench/tracing.py's PATCHES rebinds them (mot1d.solve reads its own)
 from .mot1d import common_mass_split, detect_separation, solve_sweep  # noqa: F401
+from .radial import (lift_buffers, lift_draws, load_radial_pair, solve_radial,
+                     summarize_lift)
 # `sample_lifted` is not called here; perfbench/tracing.py's PATCHES rebinds it
-from .radial import lift_summary, load_radial_pair, sample_lifted, solve_radial  # noqa: F401
+from .radial import sample_lifted  # noqa: F401
 from .verify import (DETECT_MASS_TOL, check_decreasing, curve_is_constant,
                      curve_is_strictly_decreasing, deformation_curve,
                      detect_forbidden, random_deformation_instance,
@@ -69,20 +72,71 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _start(job, *args):
+    """Run job(*args) on a new thread. Returns the function that waits for
+    the thread and re-raises what job raised; callers call it on every path,
+    so no thread outlives its command."""
+    failed = []
+
+    def run():
+        try:
+            job(*args)
+        except BaseException as exc:  # raised again by the joining thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join()
+        if failed:
+            raise failed[0]
+    return join
+
+
 def cmd_solve_radial(args) -> int:
+    """With --samples N the lift check overlaps the rest of the command. Its
+    buffers (8·(d + 1) bytes per draw) are allocated first, so too large an
+    N is an input error before anything is written, and they are held
+    through the solve, whose memory adds to theirs. A second thread draws
+    into them while this one solves; a solve that raises waits for the
+    draws. Then a second thread writes --out and --induced-csv while this
+    one summarizes the draws. Every output byte is that of doing it all in
+    turn: the draws depend only on --seed, N and d. A write's error is
+    raised before the check's, and both lines print after both files are
+    complete."""
     dim, mu, nu = load_radial_pair(args.input)
-    lifted, c1 = solve_radial(mu, nu, args.p, n=args.n, tol=args.tol)
+    if args.samples:
+        u, z = lift_buffers(args.samples, dim)
+        drawn = _start(lift_draws, args.seed, u, z)
+    try:
+        lifted, c1 = solve_radial(mu, nu, args.p, n=args.n, tol=args.tol)
+    finally:
+        if args.samples:
+            drawn()
     cd = lifted.cost_ddim(args.p)
     if abs(cd - c1) > 1e-9 * max(1.0, abs(c1)):
         raise SolverFailureError(f"lifted cost {cd!r} disagrees with base {c1!r}")
-    if args.out:
-        write_coupling_json(args.out, lifted.base, c1, lifted.maps,
-                            extra={"dim": dim, "cost_ddim": cd})
-    if args.induced_csv:
-        write_induced_csv(args.induced_csv, lifted.base)
-    print(f"cost_1d={c1!r} cost_ddim={cd!r}")
+
+    def write():
+        if args.out:
+            write_coupling_json(args.out, lifted.base, c1, lifted.maps,
+                                extra={"dim": dim, "cost_ddim": cd})
+        if args.induced_csv:
+            write_induced_csv(args.induced_csv, lifted.base)
+
+    summary = None
     if args.samples:
-        print(json.dumps(lift_summary(lifted, args.samples, args.seed), sort_keys=True))
+        written = _start(write)
+        try:
+            summary = summarize_lift(lifted, u, z)
+        finally:
+            written()
+    else:
+        write()
+    print(f"cost_1d={c1!r} cost_ddim={cd!r}")
+    if summary is not None:
+        print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 

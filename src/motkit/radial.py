@@ -227,11 +227,40 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
 
 
 GUIDE_CELLS = 4  # guide-table cells per entry, before rounding up to a power of two
-LIFT_CHUNK = 8192  # rows per block of draws; blocks of 2k-16k rows stay in cache
+# Rows per block of the check. A block costs a fixed number of numpy calls,
+# and each call passes the interpreter lock to and fro while `solve-radial`
+# writes its files on a second thread, so fewer, larger blocks overlap
+# better; one block of d = 3 holds about 1.5 MB of temporaries.
+LIFT_CHUNK = 16384
 
 
-def _lifted_blocks(lc: LiftedCoupling, count: int, seed: int):
-    """Draws (x, y) of the lifted coupling, LIFT_CHUNK rows at a time.
+def lift_buffers(count: int, dim: int):
+    """Uninitialized (u, z) for `lift_draws`, of shapes (count,) and
+    (count, dim): 8·(dim + 1) bytes per draw. A count whose buffers cannot
+    be allocated is an InputError that names the bytes."""
+    if count < 1:
+        raise InputError("count must be >= 1")
+    try:
+        return np.empty(count), np.empty((count, dim))
+    except (MemoryError, ValueError):  # numpy refuses too large a shape with ValueError
+        raise InputError(f"{count} samples in dimension {dim} need "
+                         f"{8 * count * (dim + 1)} bytes, which cannot be allocated") from None
+
+
+def lift_draws(seed: int, u: np.ndarray, z: np.ndarray):
+    """Fill the buffers of `lift_buffers` with the draws of the lift, from
+    `np.random.default_rng(seed)`: u with `rng.random(len(u))`, then z with
+    `rng.normal(size=z.shape)`, bit for bit. Adding 0.0 does what normal's
+    loc + scale·z does to a standard normal: it turns -0.0 into 0.0."""
+    rng = np.random.default_rng(seed)
+    rng.random(out=u)
+    rng.standard_normal(out=z)
+    z += 0.0
+
+
+def _lifted_blocks(lc: LiftedCoupling, u: np.ndarray, z: np.ndarray):
+    """Draws (x, y) of the lifted coupling from the draws u, z of
+    `lift_draws`, LIFT_CHUNK rows at a time.
 
     Entries are drawn by exact inverse CDF, the draw
     `rng.choice(len(base), size=count, p=weights)` makes: with
@@ -243,32 +272,28 @@ def _lifted_blocks(lc: LiftedCoupling, count: int, seed: int):
     `g[k] = cdf.searchsorted(k / K, "right")`, a draw in a cell with
     g[k] == g[k+1] takes g[k]. Only draws in the other cells (at most one
     cell per entry) are searched. Directions are normalized Gaussian
-    vectors, i.e. uniform on the sphere, read from the same stream after u.
-    All of u is drawn first; each block then reads its normals from the
-    stream, which numpy fills in order, so the draws do not depend on
-    LIFT_CHUNK. Checks its arguments before it returns the generator.
+    vectors, i.e. uniform on the sphere: each block normalizes its rows of
+    z in place, and the caller may overwrite them once the block is read.
+    The draws do not depend on LIFT_CHUNK. Checks the coupling before it
+    returns the generator.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
     base = lc.base
     if len(base) == 0:
         raise InputError("empty coupling")
-    rng = np.random.default_rng(seed)
     weights = base.masses / base.masses.sum()
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    u = rng.random(count)
     cells = 1 << (GUIDE_CELLS * len(cdf) - 1).bit_length()
     guide = cdf.searchsorted(np.arange(cells + 1) / cells, "right")
     one_entry = np.where(guide[:-1] == guide[1:], guide[:-1], -1)
 
     def blocks():
-        for start in range(0, count, LIFT_CHUNK):
+        for start in range(0, len(u), LIFT_CHUNK):
             block = u[start:start + LIFT_CHUNK]
             idx = one_entry[(block * cells).astype(np.intp)]
             searched = np.flatnonzero(idx < 0)
             idx[searched] = cdf.searchsorted(block[searched], "right")
-            direction = rng.normal(size=(len(block), lc.dim))
+            direction = z[start:start + LIFT_CHUNK]
             direction /= row_norms(direction)[:, None]
             yield base.xs[idx, None] * direction, base.ys[idx, None] * direction
 
@@ -281,7 +306,9 @@ def sample_lifted(lc: LiftedCoupling, count: int, seed: int):
     Returns arrays of shape (count, dim), the blocks of `_lifted_blocks`
     stacked in order.
     """
-    xs, ys = zip(*_lifted_blocks(lc, count, seed))
+    u, z = lift_buffers(count, lc.dim)
+    lift_draws(seed, u, z)
+    xs, ys = zip(*_lifted_blocks(lc, u, z))
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -300,9 +327,9 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def lift_summary(lc: LiftedCoupling, count: int, seed: int) -> dict:
-    """The Monte Carlo check that `solve-radial --samples` prints for the
-    draws `sample_lifted(lc, count, seed)` makes.
+def summarize_lift(lc: LiftedCoupling, u: np.ndarray, z: np.ndarray) -> dict:
+    """The Monte Carlo check that `solve-radial --samples` prints, for the
+    draws u, z of `lift_draws`: those `sample_lifted` stacks.
 
     `martingale_mean_max_se`: the largest |mean| of a coordinate of y - x,
     in standard errors (sample std with ddof 1, over sqrt(count)).
@@ -310,19 +337,22 @@ def lift_summary(lc: LiftedCoupling, count: int, seed: int) -> dict:
     the share of base's mass in each of 8 equal annuli of |x| up to 1.0001
     times the largest |source|. The means and deviations are summed in the
     order of numpy's axis-0 mean and std. The draws are taken block by
-    block: only y - x is kept whole, and its deviations and their squares
-    overwrite it. The draws are first divided by `unit`, the largest power
-    of two at most base's largest |position|: that is exact, and neither
-    the squared radii nor the squared deviations can overflow.
+    block (`_lifted_blocks`): each block's y - x overwrites the normals it
+    was drawn from, so z ends holding y - x, and then its deviations and
+    their squares; nothing else of size count is allocated. The draws are
+    first divided by `unit`, the largest power of two at most base's
+    largest |position|: that is exact, and neither the squared radii nor
+    the squared deviations can overflow.
     """
     base = lc.base
-    blocks = _lifted_blocks(lc, count, seed)
+    blocks = _lifted_blocks(lc, u, z)
+    count = len(u)
     unit = math.ldexp(0.5, math.frexp(float(np.abs([base.xs, base.ys]).max()))[1])
     edges = np.linspace(0.0, float(np.abs(base.xs).max()) * 1.0001, 9)
-    delta = np.empty((count, lc.dim))
+    delta = z  # block by block, y - x overwrites the normals it was drawn from
     got = np.zeros(len(edges) - 1, dtype=np.int64)
     start = 0
-    for x, y in blocks:  # run to the end, which frees the uniforms
+    for x, y in blocks:
         x /= unit
         y /= unit
         np.subtract(y, x, out=delta[start:start + len(x)])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,74 @@ class TestSolveRadial:
         assert lines[0] == "marginal,position,mass"
         assert any(line.startswith("mu,") for line in lines[1:])
         assert any(line.startswith("nu,") for line in lines[1:])
+
+
+class TestLiftThreads:
+    """`solve-radial --samples` draws on a second thread during the solve
+    and writes its files on one during the check. No thread outlives
+    main(), on any path."""
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        """The threads started from here on, each counted when created."""
+        started, thread = [], threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(thread(*args, **kwargs))
+            return started[-1]
+        monkeypatch.setattr(threading, "Thread", counted)
+        return started
+
+    def run(self, argv, capsys):
+        capsys.readouterr()
+        before = threading.active_count()
+        rc = main(argv)
+        assert threading.active_count() == before
+        return rc, capsys.readouterr()
+
+    def test_success(self, radial_file, tmp_path, started, capsys):
+        out, csv = tmp_path / "lift.json", tmp_path / "induced.csv"
+        rc, std = self.run(["solve-radial", radial_file, "--n", "50", "--samples", "5000",
+                            "--out", str(out), "--induced-csv", str(csv)], capsys)
+        assert rc == 0 and len(started) == 2
+        assert std.out.startswith("cost_1d=") and len(std.out.splitlines()) == 2
+        assert json.loads(out.read_text())["dim"] == 2
+        assert csv.read_text().startswith("marginal,position,mass\n")
+
+    def test_not_in_convex_order_exit_one(self, tmp_path, started, capsys):
+        # the solve raises after the draws started
+        doc = {"dim": 2,
+               "mu": {"type": "radial-atoms", "atoms": [[1.0, 1.0]]},
+               "nu": {"type": "radial-atoms", "atoms": [[2.0, 1.0 + 5e-9]]}}
+        path, out = tmp_path / "gap.json", tmp_path / "lift.json"
+        path.write_text(json.dumps(doc))
+        rc, std = self.run(["solve-radial", str(path), "--samples", "5000",
+                            "--out", str(out)], capsys)
+        assert rc == 1 and len(started) == 1
+        assert std.out == "" and not out.exists()
+
+    def test_unwritable_out_exit_two(self, radial_file, tmp_path, started, capsys):
+        out = str(tmp_path / "no-such-dir" / "lift.json")
+        rc, std = self.run(["solve-radial", radial_file, "--n", "50", "--samples", "5000",
+                            "--out", out], capsys)
+        assert rc == 2 and len(started) == 2
+        assert std.out == "" and out in std.err
+
+    def test_no_samples_no_thread(self, radial_file, tmp_path, started, capsys):
+        out = tmp_path / "lift.json"
+        rc, _ = self.run(["solve-radial", radial_file, "--n", "50", "--samples", "0",
+                          "--out", str(out)], capsys)
+        assert rc == 0 and started == [] and out.exists()
+
+    def test_impossible_sample_count_exit_two(self, radial_file, tmp_path, started, capsys):
+        # numpy refuses the buffers' shape before it allocates anything; the
+        # count once ran out of memory after the files and the cost line
+        count, out = 2 ** 62, tmp_path / "lift.json"
+        rc, std = self.run(["solve-radial", radial_file, "--n", "50", "--samples",
+                            str(count), "--out", str(out)], capsys)
+        assert rc == 2 and started == []
+        assert std.out == "" and not out.exists()
+        assert f"{count} samples in dimension 2 need {24 * count} bytes" in std.err
 
 
 class TestVerify:

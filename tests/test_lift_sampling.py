@@ -1,4 +1,4 @@
-"""`radial.sample_lifted` and `radial.lift_summary` against the code they
+"""`radial.sample_lifted` and `radial.summarize_lift` against the code they
 replaced.
 
 The oracles below are the sampler and the `solve-radial --samples` summary
@@ -21,8 +21,16 @@ from hypothesis import strategies as st
 
 from motkit import Coupling
 from motkit.cli import main
-from motkit.radial import (LIFT_CHUNK, LiftedCoupling, RadialProfile, lift_summary,
-                           load_radial_pair, row_norms, sample_lifted, solve_radial)
+from motkit.radial import (LIFT_CHUNK, LiftedCoupling, RadialProfile, lift_buffers,
+                           lift_draws, load_radial_pair, row_norms, sample_lifted,
+                           solve_radial, summarize_lift)
+
+
+def lift_summary(lc, count, seed):
+    """The summary `solve-radial --samples count --seed seed` prints."""
+    u, z = lift_buffers(count, lc.dim)
+    lift_draws(seed, u, z)
+    return summarize_lift(lc, u, z)
 
 
 def oracle_sample_lifted(lc, count, seed):
@@ -85,6 +93,12 @@ class TestAgainstOracle:
     @example(dim=3, entries=50, shape="spread", count=LIFT_CHUNK - 1, seed=3)
     @example(dim=2, entries=50, shape="equal", count=LIFT_CHUNK, seed=4)
     @example(dim=4, entries=50, shape="one-heavy", count=LIFT_CHUNK + 1, seed=5)
+    @example(dim=2, entries=50, shape="spread", count=LIFT_CHUNK - 1, seed=7)
+    @example(dim=2, entries=50, shape="one-heavy", count=LIFT_CHUNK + 1, seed=8)
+    @example(dim=3, entries=50, shape="equal", count=LIFT_CHUNK + 1, seed=9)
+    # from 8 columns on the directions are normalized by np.linalg.norm
+    @example(dim=9, entries=50, shape="spread", count=LIFT_CHUNK - 1, seed=10)
+    @example(dim=9, entries=50, shape="equal", count=LIFT_CHUNK + 1, seed=11)
     @example(dim=3, entries=3000, shape="spread", count=3 * LIFT_CHUNK + 5, seed=6)
     def test_draws_and_summary_equal(self, dim, entries, shape, count, seed):
         lc = lifted_coupling(dim, entries, shape, seed)
@@ -105,9 +119,9 @@ class TestAgainstOracle:
         assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
 
     def test_summary_keeps_one_array_of_draws(self):
-        """The summary keeps y - x and the uniforms whole and the rest one
-        block at a time: 7.9 MB at this count, where keeping x, y and the
-        deviations whole took 25.6 MB."""
+        """The summary keeps the uniforms and the normals whole, the normals
+        becoming y - x, and the rest one block at a time: 8.6 MB at this
+        count, where keeping x, y and the deviations whole took 25.6 MB."""
         count, dim = 200_000, 3
         lc = lifted_coupling(dim, 7000, "spread", 7)
         tracemalloc.start()
