@@ -115,7 +115,7 @@ def cmd_solve_radial(args) -> int:
         if args.samples:
             drawn()
     cd = lifted.cost_ddim(args.p)
-    if abs(cd - c1) > 1e-9 * max(1.0, abs(c1)):
+    if abs(cd - c1) > 1e-9 * abs(c1):   # relative: a cost of 0 must match exactly
         raise SolverFailureError(f"lifted cost {cd!r} disagrees with base {c1!r}")
 
     def write():

@@ -25,7 +25,10 @@ north-west-corner coupling of the marginals sorted by first coordinate
 (MotLp.start), which meets every row and column sum, so only the barycenter
 rows begin on artificials. Infeasibility of phase 1 is exactly the
 convex-order failure of the marginals; an unbounded phase, the iteration
-limit and a singular basis raise SolverFailureError. uniqueness_probe
+limit and a singular basis raise SolverFailureError. For a 1-D pair that is
+its own mirror image, solve_lp(mirror=True) solves the LP over the
+couplings with pi(x, y) = pi(-x, -y) (`_quotient`), with about half the
+rows and half the columns, and unfolds its optimum. uniqueness_probe
 decides whether the optimum is unique with one more phase on the base
 solve's basis, over its optimal face.
 """
@@ -268,6 +271,71 @@ def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None,
     return _revised_simplex(A, b, c, start, feas_tol)[:4]
 
 
+def _staircase(a: np.ndarray, b: np.ndarray):
+    """The north-west-corner walk of masses a against masses b, each in walk
+    order: its m + n - 1 cells (i, j), as two index arrays, and whether the
+    transport row it leaves unbalanced is b's last (else a's last). A step
+    advances i when a's cumulative mass ends first, i on ties; the last
+    atom of each side ends no step."""
+    m, n = len(a), len(b)
+    ends = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+    advances_j = np.repeat([0, 1], [m - 1, n - 1])
+    steps = advances_j[np.lexsort((advances_j, ends))]
+    j = np.concatenate([[0], np.cumsum(steps)])
+    return np.arange(m + n - 1) - j, j, not (len(steps) and steps[-1] == 0)
+
+
+def _quotient(w, v, x, y, balanced: bool) -> tuple:
+    """(A, b, start) of the LP over mirror-symmetric couplings,
+    pi(x, y) = pi(-x, -y), of a 1-D pair whose sorted positions and masses
+    are exact mirror images (x = -x[::-1], w = w[::-1], and so for y, v),
+    in MotLp's units with centre 0; start is None unless `balanced`.
+
+    The mirror of cell k of the raveled (m, n) matrix is cell
+    m*n - 1 - k, so the quotient's columns are the cells from m*n // 2
+    on: every (x > 0, y), and (0, y >= 0) when mu has an atom at 0. Its
+    rows are mu's rows for x >= 0, one row per |y| (0 first when nu has
+    an atom there), and the barycenter rows for x > 0; mu's row at 0 has
+    no barycenter row, since its mean is 0 by symmetry. A column has 1
+    in its mu row, 1 in its |y| row and y/L in its barycenter row,
+    except that a column standing for two cells of one row counts both:
+    (0, y != 0) has 2 in mu's row at 0 and (x != 0, 0) has 2 in nu's;
+    (0, 0) stands for itself. The objective is the cells' (the full
+    LP's over 2, since c(0, 0) = 0). The start is MotLp.start's
+    staircase on the folded marginals, the atoms x >= 0 against |y| in
+    increasing order with an atom at 0 at half its mass, which puts its
+    cells on the arcs y >= 0.
+    """
+    m, n = len(w), len(v)
+    hm, hn = m // 2, n // 2          # atoms below 0 on each side
+    mq, nq = m - hm, n - hn          # rows x >= 0 and |y|
+    k = np.arange(m * n // 2, m * n)
+    ii, jj = np.divmod(k, n)
+    alone = 2 * k == m * n - 1       # the cell (0, 0)
+    zero_x, zero_y = 2 * ii == m - 1, 2 * jj == n - 1
+    A = Nonzeros(np.vstack([ii - hm, mq + np.maximum(jj, n - 1 - jj) - hn,
+                            np.where(zero_x, ii - hm, nq + ii)]),
+                 np.vstack([np.where(zero_x & ~alone, 2.0, 1.0),
+                            np.where(zero_y & ~alone, 2.0, 1.0),
+                            np.where(zero_x, 0.0, y[jj])]),
+                 (mq + nq + hm, len(k)))
+    b = np.concatenate([w[hm:], v[hn:], x[mq:] * w[mq:]])
+    for arr in (A.row, A.val, b):
+        arr.setflags(write=False)
+    if not balanced:
+        return A, b, None
+    a, c = w[hm:].copy(), v[hn:].copy()
+    a[:m % 2] *= 0.5                 # an atom at 0 walks at half its mass
+    c[:n % 2] *= 0.5
+    i, j, last_j = _staircase(a, c)
+    last = mq + nq - 1 if last_j else mq - 1
+    cells = (hm + i) * n + hn + j - k[0]
+    rows = len(k) + np.concatenate([[last], np.arange(mq + nq, mq + nq + hm)])
+    start = np.concatenate([cells, rows])
+    start.setflags(write=False)
+    return A, b, start
+
+
 class MotLp:
     """Assembled LP data for a martingale transport instance.
 
@@ -296,10 +364,19 @@ class MotLp:
     whose nu masses were scaled by 0.5 to 5); with it, by at most the same
     bound, which _Basis clips. A cost beyond the float range is an
     InputError.
+
+    With `mirror`, a 1-D pair must be its own mirror image exactly (sorted
+    positions x = -x[::-1] with masses w = w[::-1], on both sides), or
+    SolverFailureError is raised. `quotient` then holds (A, b, start) of
+    the LP over mirror-symmetric couplings (`_quotient`), with about half
+    the rows and half the columns, which solve_lp solves in place of the
+    full LP; `start` is None, and A and b stay the full LP, on which
+    `_solution` gates the unfolded optimum. MAX_VARIABLES still counts
+    m * n.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-                 sense: str = "min", scale: tuple | None = None):
+                 sense: str = "min", scale: tuple | None = None, mirror: bool = False):
         self.mu, self.nu, self.p, self.sense, self.scale = mu, nu, p, sense, scale
         if mu.dim != nu.dim:
             raise InputError("marginals must share dim")
@@ -312,6 +389,14 @@ class MotLp:
             raise InputError("sense must be 'min' or 'max'")
         if not 0.0 < p < np.inf:
             raise InputError(f"cost exponent p={p} must be positive and finite")
+        if mirror:
+            if d != 1:
+                raise InputError("the reflection quotient needs 1-D marginals")
+            for name, meas in (("mu", mu), ("nu", nu)):
+                if not (np.array_equal(meas.positions, -meas.positions[::-1])
+                        and np.array_equal(meas.masses, meas.masses[::-1])):
+                    raise SolverFailureError(
+                        f"the reflection quotient needs {name} to be its own mirror image")
         xpos, ypos = mu.points(), nu.points()
         with np.errstate(over="ignore"):  # the overflow is the error reported
             C = distance(xpos[:, None], ypos) ** p
@@ -332,24 +417,19 @@ class MotLp:
         self.A, self.b, self.C = A, b, C
         self.mass_unit, self.cost_unit = mass_unit, float(C.max()) or 1.0
         self.tol_unit = scale[0] / mass_unit if scale else 1.0
-        self.start = self._start() if abs(
-            w.sum() - v.sum()) <= FEAS_TOL * self.tol_unit else None
+        balanced = abs(w.sum() - v.sum()) <= FEAS_TOL * self.tol_unit
+        self.quotient = _quotient(w, v, xpos[:, 0] / spread, ypos[:, 0] / spread,
+                                  balanced) if mirror else None
+        self.start = self._start() if balanced and not mirror else None
 
     def _start(self) -> np.ndarray:
         mu, nu = self.mu, self.nu
         m, n, d = len(mu), len(nu), mu.dim
         oi = np.argsort(mu.points()[:, 0], kind="stable")
         oj = np.argsort(nu.points()[:, 0], kind="stable")
-        # a step advances i when mu's cumulative mass ends first; the last
-        # atom of each side ends no step
-        ends = np.concatenate([np.cumsum(mu.masses[oi])[:-1],
-                               np.cumsum(nu.masses[oj])[:-1]])
-        advances_j = np.repeat([0, 1], [m - 1, n - 1])
-        steps = advances_j[np.lexsort((advances_j, ends))]
-        j = np.concatenate([[0], np.cumsum(steps)])
-        i = np.arange(m + n - 1) - j
+        i, j, last_j = _staircase(mu.masses[oi], nu.masses[oj])
         cells = oi[i] * n + oj[j]
-        last = oi[m - 1] if len(steps) and steps[-1] == 0 else m + oj[n - 1]
+        last = m + oj[n - 1] if last_j else oi[m - 1]
         rows = m * n + np.concatenate([[last], np.arange(m + n, m + n + d * m)])
         start = np.concatenate([cells, rows])
         start.setflags(write=False)
@@ -389,10 +469,12 @@ def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
     coupling in the input's units; a missed gate raises SolverFailureError."""
     if status == "infeasible":
         return LpSolution("infeasible", None, None, None, {}, iters, msg)
-    residuals = {"feasibility": _gated_residual(prob, v, "LP")}
-
     mu, nu = prob.mu, prob.nu
     m, n = len(mu), len(nu)
+    if prob.quotient is not None:   # cell k and its mirror m*n - 1 - k share a column
+        v = np.concatenate([v[::-1][:m * n // 2], v])
+    residuals = {"feasibility": _gated_residual(prob, v, "LP")}
+
     v = v.reshape(m, n)
     mat = prob.mass_unit * v
     objective = float(np.tensordot(prob.C, mat))
@@ -402,15 +484,18 @@ def _solution(prob: MotLp, status: str, v, iters: int, msg: str) -> LpSolution:
 
 
 def solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-             sense: str = "min", scale=None) -> LpSolution:
+             sense: str = "min", scale=None, mirror: bool = False) -> LpSolution:
     """Solve the discrete martingale transport LP to optimality.
 
     Infeasibility is equivalent to the marginals not being in convex order;
     a failed simplex or a missed residual gate raises SolverFailureError.
+    With `mirror`, over the mirror-symmetric couplings of a pair that is
+    its own mirror image (see MotLp); the result has the full LP's form.
     """
-    prob = MotLp(mu, nu, p, sense, scale)
-    return _solution(prob, *simplex_solve(prob.A, prob.b, prob.objective_vector(),
-                                          prob.start, FEAS_TOL * prob.tol_unit))
+    prob = MotLp(mu, nu, p, sense, scale, mirror)
+    A, b, start = prob.quotient or (prob.A, prob.b, prob.start)
+    c = prob.objective_vector()[-A.shape[1]:]   # the quotient's columns are the last cells
+    return _solution(prob, *simplex_solve(A, b, c, start, FEAS_TOL * prob.tol_unit))
 
 
 def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:

@@ -283,7 +283,7 @@ class Solution(NamedTuple):
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-          method: str = "auto", tol: float = 1e-9) -> Solution:
+          method: str = "auto", tol: float = 1e-9, mirror: bool = False) -> Solution:
     """Optimal martingale coupling of two 1-D measures for cost |x-y|^p.
 
     The only gate of a 1-D solve: behind it, the sweep and the LP raise only
@@ -292,6 +292,9 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     (carrying the OrderReport) or the LP finds it infeasible (no report);
     forcing "sweep" on a non-separated remainder raises SeparationError.
     `tol` is in the units of the input pair, whose scale the split rounds to.
+    With `mirror`, the LP route solves over mirror-symmetric couplings
+    (`lp.solve_lp`), and raises SolverFailureError unless the remainder is
+    exactly its own mirror image; the sweep route ignores it.
     """
     check_exponent(p)
     if method not in ("auto", "sweep", "lp"):
@@ -312,7 +315,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
             raise SeparationError("marginals are not separated; use --method lp")
         pi, maps = solve_sweep(mu_bar, nu_bar, interval, tol=tol, scale=scale)
         return Solution(common, pi, maps, "sweep", scale)
-    sol = lp_mod.solve_lp(mu_bar, nu_bar, p, scale=scale)
+    sol = lp_mod.solve_lp(mu_bar, nu_bar, p, scale=scale, mirror=mirror)
     if sol.status == "infeasible":
         raise NotInConvexOrderError("the LP finds no martingale coupling")
     return Solution(common, sol.coupling, None, "lp", scale)

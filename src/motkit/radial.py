@@ -164,7 +164,9 @@ def _to_induced(marginal, n: int) -> DiscreteMeasure:
 def symmetrize_coupling(pi: Coupling) -> Coupling:
     """Average a 1-D coupling with its reflection through the origin: the
     entries (x, y) and their mirrors (-x, -y), each at half its mass, merge
-    as atoms of the plane (`measures._merge_groups`), sorted by (x, y)."""
+    as atoms of the plane (`measures._merge_groups`), sorted by (x, y).
+    No solve calls it, since the LP route solves over symmetric couplings;
+    it is kept for perfbench/tracing.py's PATCHES and for its tests."""
     xy = np.column_stack([pi.xs, pi.ys])
     pos, w = _merge_groups(np.concatenate([xy, -xy]), np.tile(pi.masses, 2) * 0.5)
     return Coupling(pos[:, 0], pos[:, 1], w)
@@ -196,9 +198,11 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
 
     Density marginals are quantized at n cells, and the induced pair goes
     through `mot1d.solve` at `tol`. A sweep coupling must be reflection-
-    symmetric in `Solution.scale`'s units; an LP coupling, any optimal
-    corner, is symmetrized. An order failure is re-raised with refinement
-    advice, since quantization can break the convex order.
+    symmetric in `Solution.scale`'s units. The LP route solves over the
+    reflection quotient (`mot1d.solve(mirror=True)`), so its optimum is
+    symmetric by construction; a remainder that is not exactly its own
+    mirror image raises SolverFailureError. An order failure is re-raised
+    with refinement advice, since quantization can break the convex order.
     """
     if n < 2:
         raise InputError("need n >= 2 quantization cells")
@@ -207,7 +211,7 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
         raise InputError("marginals must share the ambient dimension")
 
     try:
-        sol = solve(_to_induced(mu, n), _to_induced(nu, n), p, tol=tol)
+        sol = solve(_to_induced(mu, n), _to_induced(nu, n), p, tol=tol, mirror=True)
     except NotInConvexOrderError as exc:
         raise NotInConvexOrderError(
             f"induced marginals: {exc}; refine the quantization (n={n}) or "
@@ -219,8 +223,6 @@ def solve_radial(mu, nu, p: float, n: int = 400, tol: float = 1e-9):
             raise SolverFailureError(
                 f"symmetric radial instance gave asymmetric coupling ({resid:.3e})",
                 residual=resid)
-    elif sol.route == "lp":
-        sol = sol._replace(pi=symmetrize_coupling(sol.pi))
 
     lifted = LiftedCoupling(sol.coupling(), dim, sol.maps)
     return lifted, cost(lifted.base, p)

@@ -10,7 +10,8 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from motkit import (Coupling, DiscreteMeasure, GridDensity, MotkitError, MotLp,
-                    RadialAtoms, solve_lp)
+                    RadialAtoms, RadialProfile, common_mass_split, cost, induce_1d,
+                    quantize, solve_lp, unit_sphere_area)
 from lemmas import from_entries, row_list
 
 
@@ -141,6 +142,51 @@ def shell_spread(rng, dim):
     t = (hi - r) / (hi - lo)
     return (RadialAtoms(dim, r, w),
             RadialAtoms(dim, [lo, hi], [w @ t, w @ (1.0 - t)]))
+
+
+def _uniform_shells(dim, radii, masses):
+    """RadialProfile with mass masses[k] spread uniformly over the shell
+    radii[k] <= |x| <= radii[k + 1]."""
+    volume = [unit_sphere_area(dim) * (b ** dim - a ** dim) / dim
+              for a, b in zip(radii[:-1], radii[1:])]
+    return RadialProfile(dim, radii, [w / v for w, v in zip(masses, volume)])
+
+
+def overlap_profiles(dim, alpha):
+    """perfbench's `radial_overlap`, value for value: mu uniform on the unit
+    ball; nu keeps a share alpha uniform on |x| <= 0.5 and spreads the rest
+    over 1 <= |x| <= 1.5. The induced remainders interleave (the LP route),
+    and at an odd n nu's centre is the denser, so nu keeps an atom at 0."""
+    r = [0.0, 0.5, 1.0, 1.5]
+    ball = _uniform_shells(dim, [0.0, 1.0], [1.0]).values[0]
+    return (RadialProfile(dim, r, [ball, ball, 0.0]),
+            _uniform_shells(dim, r, [alpha, 0.0, 1.0 - alpha]))
+
+
+def hole_profiles(dim, inner, ring):
+    """mu uniform on the unit ball; nu puts `inner` on |x| <= 0.25, `ring`
+    on 0.25 <= |x| <= 0.5 and the rest on 1 <= |x| <= 1.5. With nu's centre
+    the thinner, an odd n leaves mu an atom at 0, and the ring keeps nu
+    atoms inside mu's hull (the LP route)."""
+    r = [0.0, 0.25, 0.5, 1.0, 1.5]
+    ball = _uniform_shells(dim, [0.0, 1.0], [1.0]).values[0]
+    return (RadialProfile(dim, r, [ball, ball, ball, 0.0]),
+            _uniform_shells(dim, r, [inner, ring, 0.0, 1.0 - inner - ring]))
+
+
+def induced_remainder(mu, nu, n):
+    """The remainders (mu_bar, nu_bar) of the pair that `solve_radial`
+    induces from radial profiles at n cells."""
+    return common_mass_split(quantize(induce_1d(mu, n)), quantize(induce_1d(nu, n)))[1:]
+
+
+def assert_same_coupling(pi: Coupling, ref: Coupling, p: float):
+    """pi and ref have the same support, masses within 1e-13 of ref's total
+    and costs within 1e-12 relative; entries are compared in (x, y) order."""
+    a, b = np.lexsort((pi.ys, pi.xs)), np.lexsort((ref.ys, ref.xs))
+    assert np.array_equal(pi.xs[a], ref.xs[b]) and np.array_equal(pi.ys[a], ref.ys[b])
+    assert np.abs(pi.masses[a] - ref.masses[b]).max() <= 1e-13 * ref.total_mass()
+    assert abs(cost(pi, p) - cost(ref, p)) <= 1e-12 * cost(ref, p)
 
 
 def rotation_2d(theta):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from motkit import cost
 from motkit.cli import main
+from motkit.radial import LiftedCoupling
 
 
 @pytest.fixture()
@@ -164,6 +166,22 @@ class TestSolveRadial:
         doc = json.loads(out.read_text())
         assert doc["dim"] == 2
         assert abs(doc["cost"] - doc["cost_ddim"]) <= 1e-9
+
+    def test_lift_check_is_relative(self, tmp_path, monkeypatch, capsys):
+        # shells at radius 1e-6 cost about 1e-6: a lifted cost 1e-6 off in
+        # relative terms is 1e-12 off in absolute ones, which an absolute
+        # bound of 1e-9 let through
+        doc = {"dim": 2,
+               "mu": {"type": "radial-atoms", "atoms": [[1e-6, 1.0]]},
+               "nu": {"type": "radial-atoms", "atoms": [[5e-7, 0.5], [1.5e-6, 0.5]]}}
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve-radial", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(LiftedCoupling, "cost_ddim",
+                            lambda lc, p: cost(lc.base, p) * (1 + 1e-6))
+        assert main(["solve-radial", str(path)]) == 3
+        assert "disagrees with base" in capsys.readouterr().err
 
     def test_origin_atom_exit_two(self, tmp_path):
         doc = {"dim": 2,

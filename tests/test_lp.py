@@ -3,14 +3,16 @@ import pytest
 from scipy.optimize import linprog
 
 import motkit.lp
-from motkit import (Coupling, DiscreteMeasure, MotLp, RadialAtoms,
+from motkit import (Coupling, DiscreteMeasure, InputError, MotLp, RadialAtoms,
                     SolverFailureError, common_mass_split, cost, detect_separation,
-                    solve_lp, solve_radial, uniqueness_probe, validate_coupling)
-from motkit.lp import RESIDUAL_TOL, Nonzeros, _Basis, simplex_solve
+                    solve, solve_lp, solve_radial, symmetrize_coupling,
+                    uniqueness_probe, validate_coupling)
+from motkit.lp import MAX_VARIABLES, RESIDUAL_TOL, Nonzeros, _Basis, simplex_solve
 from motkit.mot1d import solve_sweep
-from instances import (overlapping_instance, ring_directions, ring_instance,
-                       rotation_2d, scipy_matrix, separated_instance, shell_atoms,
-                       split_grid_failure, spread_pair_instance)
+from instances import (assert_same_coupling, hole_profiles, induced_remainder,
+                       overlap_profiles, overlapping_instance, ring_directions,
+                       ring_instance, rotation_2d, scipy_matrix, separated_instance,
+                       shell_atoms, split_grid_failure, spread_pair_instance)
 from lemmas import diagonal_mass
 
 
@@ -460,6 +462,113 @@ class TestAssembly:
         assert np.abs(B.price(y) - y @ full).max() <= 1e-15
         for q in range(full.shape[1]):
             assert np.abs(B.column(q) - B.inv @ full[:, q]).max() <= 1e-15
+
+
+def mirror_pair(m, n):
+    """A balanced pair of m and n atoms, each its own mirror image: an odd
+    count puts an atom at 0. Not in convex order; the assembly needs none."""
+    # integer offsets are exactly mirror-symmetric, unlike linspace
+    x = (2.0 * np.arange(m) - (m - 1)) / max(m - 1, 1)
+    y = (2.0 * np.arange(n) - (n - 1)) * 3.0 / max(n - 1, 1)
+    w = 1.0 + np.abs(x)
+    v = 2.0 - np.abs(y) / 3.0
+    return DiscreteMeasure(x, w / w.sum()), DiscreteMeasure(y, v / v.sum())
+
+
+def _ulp_off(meas: DiscreteMeasure, moved: str) -> DiscreteMeasure:
+    """meas with the position or the mass of its last atom one ulp larger."""
+    pos, w = meas.positions.copy(), meas.masses.copy()
+    target = pos if moved == "position" else w
+    target[-1] = np.nextafter(target[-1], np.inf)
+    return DiscreteMeasure(pos, w)
+
+
+class TestReflectionQuotient:
+    """solve_lp(mirror=True) solves over the couplings with
+    pi(x, y) = pi(-x, -y) of a pair that is its own mirror image."""
+
+    SIZES = [(4, 6), (5, 6), (4, 7), (5, 7), (1, 3)]
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_rows_are_the_full_rows_of_the_unfolded_matrix(self, m, n):
+        # each quotient row is a full row at x >= 0, y >= 0 or x > 0 of the
+        # symmetric matrix that the quotient's columns unfold to, in units
+        # of mu's mass and L with centre 0
+        mu, nu = mirror_pair(m, n)
+        prob = MotLp(mu, nu, 1.0, mirror=True)
+        A, b, start = prob.quotient
+        assert prob.start is None and len(start) == len(b)
+        hm, hn = m // 2, n // 2
+        assert A.shape == (m - hm + n - hn + hm, m * n - m * n // 2)
+        vq = np.random.default_rng(m * n).uniform(0.1, 1.0, A.shape[1])
+        V = np.concatenate([vq[::-1][:m * n // 2], vq]).reshape(m, n)
+        assert np.array_equal(V, V[::-1, ::-1])
+        L = max(1.0, np.abs(nu.positions).max())
+        rows = np.concatenate([V.sum(1)[hm:], V.sum(0)[hn:],
+                               (V @ nu.positions)[m - hm:] / L])
+        dense = np.zeros(A.shape)
+        np.add.at(dense, (A.row, np.arange(A.shape[1])), A.val)
+        assert np.abs(dense @ vq - rows).max() <= 1e-14
+        assert np.allclose(b, np.concatenate([mu.masses[hm:], nu.masses[hn:],
+                                              (mu.positions * mu.masses)[m - hm:] / L]),
+                           rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_start_is_a_nonnegative_basis(self, m, n):
+        # as MotLp.start: a spanning tree of the transport rows, one
+        # transport artificial, then every barycenter row's
+        mu, nu = mirror_pair(m, n)
+        A, b, start = MotLp(mu, nu, 1.0, mirror=True).quotient
+        tree = (m - m // 2) + (n - n // 2) - 1
+        cells = start[:tree]
+        assert cells.max() < A.shape[1] and len(set(cells.tolist())) == tree
+        assert np.array_equal(start[tree + 1:] - A.shape[1], np.arange(tree + 1, len(b)))
+        full = np.hstack([scipy_matrix(A).toarray(), np.eye(len(b))])
+        assert np.linalg.cond(full[:, start]) < 1e8
+        x = np.linalg.solve(full[:, start], b)
+        assert x[:tree].min() >= -1e-15        # the coupling cells
+        assert abs(x[tree]) <= 1e-15           # balanced transport rows
+        assert _Basis(A, b, start).x.min() >= 0.0
+
+    @pytest.mark.parametrize("case", ["mu-at-0", "nu-at-0", "both-at-0"])
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_atom_at_zero_matches_the_full_lp(self, case, p):
+        if case == "nu-at-0":
+            mu, nu = induced_remainder(*overlap_profiles(2, 0.35), 91)
+        else:
+            mu, nu = induced_remainder(*hole_profiles(2, 0.02, 0.3), 91)
+        if case == "both-at-0":   # the cell (0, 0) stands for itself
+            mu, nu = (DiscreteMeasure(np.append(m.positions, 0.0), np.append(m.masses, 0.01))
+                      for m in (mu, nu))
+        assert (0.0 in mu.positions, 0.0 in nu.positions) == {
+            "mu-at-0": (True, False), "nu-at-0": (False, True),
+            "both-at-0": (True, True)}[case]
+        quotient, full = solve_lp(mu, nu, p, mirror=True), solve_lp(mu, nu, p)
+        assert reflection_residual_of(quotient.matrix) == 0.0
+        assert_same_coupling(quotient.coupling, symmetrize_coupling(full.coupling), p)
+        assert quotient.objective == pytest.approx(full.objective, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["mu", "nu"])
+    @pytest.mark.parametrize("moved", ["position", "mass"])
+    def test_one_ulp_off_mirror_raises(self, side, moved):
+        mu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
+        nu = DiscreteMeasure([-2.0, -0.5, 0.5, 2.0], [0.25] * 4)
+        assert solve(mu, nu, 1.0, mirror=True).route == "lp"
+        pair = {"mu": mu, "nu": nu}
+        pair[side] = _ulp_off(pair[side], moved)
+        with pytest.raises(SolverFailureError, match="mirror image"):
+            solve(pair["mu"], pair["nu"], 1.0, mirror=True)
+
+    def test_size_gate_counts_the_full_lp(self):
+        m = MAX_VARIABLES // 500 + 2
+        mu, nu = mirror_pair(m, 500)
+        with pytest.raises(InputError, match="instance too large"):
+            MotLp(mu, nu, 1.0, mirror=True)
+
+
+def reflection_residual_of(mat: np.ndarray) -> float:
+    """Largest gap between a coupling matrix and its mirror image."""
+    return float(np.abs(mat - mat[::-1, ::-1]).max())
 
 
 class TestInputContracts:

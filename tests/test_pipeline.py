@@ -156,7 +156,7 @@ class TestOrderFailure:
         assert info.value.report.mass_gap == pytest.approx(5e-9, rel=1e-6)
 
 
-def _infeasible(mu, nu, p, sense="min", scale=None):
+def _infeasible(mu, nu, p, sense="min", scale=None, mirror=False):
     return LpSolution("infeasible", None, None, None, {}, 0)
 
 

@@ -7,10 +7,11 @@ from scipy import stats
 
 from motkit import (Coupling, DiscreteMeasure, InputError, RadialAtoms, RadialProfile,
                     cost, induce_1d, induced_atoms, quantize, reflection_residual,
-                    sample_lifted, solve_lp, solve_radial, symmetrize_coupling,
+                    sample_lifted, solve, solve_lp, solve_radial, symmetrize_coupling,
                     unit_sphere_area, validate_coupling)
 from motkit.radial import load_radial_pair
-from instances import ring_instance, rotation_2d
+from instances import (assert_same_coupling, hole_profiles, overlap_profiles,
+                       ring_instance, rotation_2d)
 from lemmas import (entry_list, from_entries, l_symmetrize_2d, r_equivalent,
                     rotate_pushforward)
 
@@ -217,6 +218,45 @@ class TestSolveRadial:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputError):
             solve_radial(disk_profile(), ball_profile(), 1.0)
+
+
+# alpha of `radial_overlap` in perfbench's radial-lift pools of seeds 1, 2
+# and 3: job i10 is d = 2, job i11 is d = 3, both at n = 90
+POOL_ALPHAS = {2: (0.3225244336824055, 0.41970608106725704, 0.3573441652069154),
+               3: (0.303892146060475, 0.4327133999294519, 0.32458383995332285)}
+QUOTIENT_CASES = (
+    [(d, alpha, 90, p) for d in (2, 3) for alpha in POOL_ALPHAS[d] for p in (0.5, 1.0)]
+    + [(d, POOL_ALPHAS[d][0], n, p) for d in (2, 3) for n in (91, 180) for p in (0.5, 1.0)])
+
+
+class TestReflectionQuotient:
+    """The LP route solves over the couplings with pi(x, y) = pi(-x, -y).
+    Its optimum must be the full LP's averaged with its mirror, which is
+    what the route returned before."""
+
+    @staticmethod
+    def full_lp_symmetrized(mu, nu, p, n):
+        sol = solve(quantize(induce_1d(mu, n)), quantize(induce_1d(nu, n)), p)
+        assert sol.route == "lp"
+        return sol._replace(pi=symmetrize_coupling(sol.pi)).coupling()
+
+    @pytest.mark.parametrize("d, alpha, n, p", QUOTIENT_CASES)
+    def test_overlap_matches_the_full_lp(self, d, alpha, n, p):
+        mu, nu = overlap_profiles(d, alpha)
+        lifted, c1 = solve_radial(mu, nu, p, n=n)
+        assert lifted.maps is None
+        assert reflection_residual(lifted.base) == 0.0
+        ref = self.full_lp_symmetrized(mu, nu, p, n)
+        assert_same_coupling(lifted.base, ref, p)
+        assert c1 == pytest.approx(cost(ref, p), rel=1e-12)
+
+    @pytest.mark.parametrize("d, inner, ring", [(2, 0.02, 0.3), (3, 0.005, 0.2)])
+    def test_mu_atom_at_zero_matches_the_full_lp(self, d, inner, ring):
+        mu, nu = hole_profiles(d, inner, ring)
+        lifted, c1 = solve_radial(mu, nu, 0.5, n=91)
+        assert lifted.maps is None
+        assert reflection_residual(lifted.base) == 0.0
+        assert_same_coupling(lifted.base, self.full_lp_symmetrized(mu, nu, 0.5, 91), 0.5)
 
 
 @pytest.fixture(scope="module")
