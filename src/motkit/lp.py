@@ -14,8 +14,10 @@ constraint column has its 2 + d entries in rows i, m + j and m + n + d*i + k,
 so A is stored as fixed-width columns (Nonzeros): one (2 + d, m*n) array of
 rows and one of values, an exact zero kept in its slot. The system is solved by a
 self-contained revised two-phase simplex over one basis object: it keeps
-only the basis inverse B^-1 and the basic values, prices the columns slot by
-slot, forms the entering column alone and updates B^-1 by a rank-1 step, so
+only the basis inverse B^-1, the basic values and their costs c_B, prices
+the phase's candidate columns slot by slot, forms the entering column alone
+and updates B^-1 by a rank-1 step (np.einsum's outer product, which is
+np.outer's but gives +0.0 for a zero product, so no pivot moves), so
 a pivot costs O(rows^2 + nnz(A)) time and memory (Dantzig pricing and
 Harris's ratio test, with a Bland's-rule fallback once the objective
 stalls); B^-1 is recomputed from the basic columns after every rows-many
@@ -62,6 +64,13 @@ class Nonzeros(NamedTuple):
     shape: tuple
 
 
+def _price(y: np.ndarray, row: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """y @ the columns stored as fixed-width slots (row, val)."""
+    gathered = y[row]
+    gathered *= val
+    return gathered.sum(axis=0)
+
+
 class _Basis:
     """A simplex basis of [A S] v = b: B^-1, the basic columns and their
     values, over [A S] in A's fixed-width layout (row, val).
@@ -77,7 +86,8 @@ class _Basis:
     to -FEAS_TOL, which is clipped to 0, and a lower value raises
     SolverFailureError. B^-1 is updated by rank-1 steps and recomputed from
     the basic columns after every len(basis) of them, so rounding does not
-    grow with the pivot count.
+    grow with the pivot count. Each phase sets its cost (set_cost), and the
+    basic costs c_B are carried through its pivots.
     """
 
     def __init__(self, A: Nonzeros, b: np.ndarray, start=None, feas_tol=FEAS_TOL):
@@ -101,15 +111,25 @@ class _Basis:
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """y @ [A S]."""
-        return (y[self.row] * self.val).sum(axis=0)
+        return _price(y, self.row, self.val)
 
     def column(self, q: int) -> np.ndarray:
         """B^-1 times column q."""
         return self.inv[:, self.row[:, q]] @ self.val[:, q]
 
-    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        """cost - y @ [A S] over the first len(cost) columns, y = c_B B^-1."""
-        return cost - self.price(cost[self.basis] @ self.inv)[:len(cost)]
+    def set_cost(self, cost: np.ndarray):
+        """Start a phase of objective `cost` over the first len(cost)
+        columns, its entering candidates: c_B = cost[basis] is carried from
+        here through every pivot, and the candidates' slots are copied once,
+        contiguous, for pricing. A drop leaves both stale until the next
+        phase sets them."""
+        self.cost = cost
+        self.cb = cost[self.basis]
+        self.cand = self.row[:, :len(cost)].copy(), self.val[:, :len(cost)].copy()
+
+    def reduced_costs(self) -> np.ndarray:
+        """The phase's cost - y @ [A S] over its candidates, y = c_B B^-1."""
+        return self.cost - _price(self.cb @ self.inv, *self.cand)
 
     def values(self) -> np.ndarray:
         """The basic solution over the n columns of A, negatives clipped to 0."""
@@ -119,14 +139,17 @@ class _Basis:
         return v
 
     def pivot(self, row: int, q: int, u: np.ndarray):
-        """Column q (u = B^-1 a_q) enters in place of basic position row."""
+        """Column q (u = B^-1 a_q) enters in place of basic position row,
+        and c_B takes its cost."""
         theta = self.x[row] / u[row]
         self.x -= theta * u
         self.x[row] = theta
         pivot_row = self.inv[row] / u[row]
-        self.inv -= np.outer(u, pivot_row)
+        # np.outer's products, but faster; a zero product comes out +0.0
+        self.inv -= np.einsum("i,j->ij", u, pivot_row)
         self.inv[row] = pivot_row
         self.basis[row] = q
+        self.cb[row] = self.cost[q]
         self.updates += 1
         if self.updates >= len(self.basis):
             self.refactorize()
@@ -184,32 +207,35 @@ def _run_phase(B: _Basis, cost: np.ndarray, phase: str):
     bland = False
     stall = 0
     best = np.inf
+    B.set_cost(cost)
     for it in range(maxiter):
-        d = B.reduced_costs(cost)
+        d = B.reduced_costs()
         if bland:
-            cand = np.nonzero(d < -PIVOT_TOL)[0]
-            if len(cand) == 0:
+            neg = d < -PIVOT_TOL
+            col = int(neg.argmax())
+            if not neg[col]:
                 return it, bland
-            col = int(cand[0])
         else:
-            col = int(np.argmin(d))
+            col = int(d.argmin())
             if d[col] >= -PIVOT_TOL:
                 return it, bland
         u = B.column(col)
         # relative to the column's scale, so rounding noise never pivots
-        pos = np.flatnonzero(u > PIVOT_TOL * max(1.0, float(np.abs(u).max())))
-        if len(pos) == 0:
+        pos = (u > PIVOT_TOL * max(1.0, float(abs(u).max()))).nonzero()[0]
+        if not len(pos):
             raise SolverFailureError(f"{phase} ended with unbounded")
         x_pos, u_pos = B.x[pos], u[pos]
         ratios = x_pos / u_pos
         best_ratio = ratios.min()
         thresh = best_ratio + 1e-12 * max(1.0, abs(best_ratio))
-        if not bland:
-            thresh = max(thresh, float(((x_pos + HARRIS_TOL) / u_pos).min()))
+        if not bland:   # Harris's bound, in place on the gathered x
+            x_pos += HARRIS_TOL
+            x_pos /= u_pos
+            thresh = max(thresh, float(x_pos.min()))
         ties = pos[ratios <= thresh]
-        row = int(ties[np.argmin(B.basis[ties])] if bland else ties[np.argmax(u[ties])])
+        row = int(ties[B.basis[ties].argmin()] if bland else ties[u[ties].argmax()])
         B.pivot(row, col, u)
-        cur = float(cost[B.basis] @ B.x)
+        cur = float(B.cb @ B.x)
         if cur < best - 1e-12 * max(1.0, abs(best)):
             best = cur
             stall = 0
@@ -230,7 +256,7 @@ def _revised_simplex(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None,
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     it1, bland1 = _run_phase(B, phase1_cost, "phase 1")
-    phase1_obj = float(phase1_cost[B.basis] @ B.x)
+    phase1_obj = float(B.cb @ B.x)
     if phase1_obj > feas_tol:
         return "infeasible", None, it1, f"phase-1 residual {phase1_obj:.3e}", None
 
@@ -257,8 +283,9 @@ def simplex_solve(A: Nonzeros, b: np.ndarray, c: np.ndarray, start=None,
     """min c@v subject to A v = b, v >= 0 (revised two-phase simplex).
 
     The tolerances are constants for b and c of order 1, as MotLp states
-    them. Only the basis inverse and the basic values are kept; each pivot
-    prices A's fixed-width columns and updates B^-1 by a rank-1 step. Phase
+    them. Only the basis inverse, the basic values and their costs are
+    kept; each pivot prices the phase's candidate columns in A's
+    fixed-width layout and updates B^-1 by a rank-1 step. Phase
     1 starts from `start`, len(b) columns of [A S] (column n + k is row k's
     artificial) whose basic solution is nonnegative up to feas_tol, or else
     from the all-artificial basis. Returns (status, v, iterations, message);
@@ -519,7 +546,7 @@ def uniqueness_probe(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool
         raise SolverFailureError(f"probe requires an optimal base solve, got {status}")
     _gated_residual(prob, base_v, "LP")
 
-    face = B.reduced_costs(c) <= PIVOT_TOL
+    face = B.reduced_costs() <= PIVOT_TOL     # phase 2's cost is c
     face[B.basis] = True        # rounding must not price a basic column off the face
     empty = base_v <= SUPPORT_TOL
     _run_phase(B, np.where(face, -empty.astype(float), np.inf), "face solve")

@@ -7,13 +7,16 @@ from motkit import (Coupling, DiscreteMeasure, InputError, MotLp, RadialAtoms,
                     SolverFailureError, common_mass_split, cost, detect_separation,
                     solve, solve_lp, solve_radial, symmetrize_coupling,
                     uniqueness_probe, validate_coupling)
-from motkit.lp import MAX_VARIABLES, RESIDUAL_TOL, Nonzeros, _Basis, simplex_solve
+from motkit.lp import (FEAS_TOL, MAX_VARIABLES, RESIDUAL_TOL, Nonzeros, _Basis,
+                       _revised_simplex, simplex_solve)
 from motkit.mot1d import solve_sweep
 from instances import (assert_same_coupling, hole_profiles, induced_remainder,
                        overlap_profiles, overlapping_instance, ring_directions,
                        ring_instance, rotation_2d, scipy_matrix, separated_instance,
-                       shell_atoms, split_grid_failure, spread_pair_instance)
-from lemmas import diagonal_mass
+                       shell_atoms, split_grid_failure, split_grid_instance,
+                       spread_pair_instance)
+import lemmas
+from lemmas import diagonal_mass, oracle_simplex, oracle_uniqueness_probe
 
 
 def nonzeros(dense: np.ndarray) -> Nonzeros:
@@ -111,6 +114,13 @@ class TestFeasibilityAndDuality:
         assert sol.objective == pytest.approx(-prob.mass_unit * ref.fun, abs=1e-8)
 
 
+CHVATAL_CYCLING = (np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
+                             [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
+                             [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]),
+                   np.array([0.0, 0.0, 1.0]),
+                   np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0]))
+
+
 class TestRevisedSimplex:
     def test_redundant_rows_dropped(self):
         # identical marginals: the coupling is forced onto the diagonal and
@@ -132,11 +142,7 @@ class TestRevisedSimplex:
         # slack basis, Dantzig pricing cycles through six degenerate bases of
         # phase 2 and never reaches the optimum -1, whether the lowest basic
         # index or the largest pivot element breaks the ratio test's ties
-        A = np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
-                      [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
-                      [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-        b = np.array([0.0, 0.0, 1.0])
-        c = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+        A, b, c = CHVATAL_CYCLING
         status, v, _, msg = simplex_solve(nonzeros(A), b, c, start=[4, 5, 6])
         assert status == "optimal"
         assert msg == "Bland's rule switched on in phase 2"
@@ -627,3 +633,135 @@ class TestPlanarInstances:
         mur = DiscreteMeasure(mu.positions @ M.T, mu.masses, dim=2)
         nur = DiscreteMeasure(nu.positions @ M.T, nu.masses, dim=2)
         assert solve_lp(mur, nur, 1.0).objective == pytest.approx(base, abs=1e-9)
+
+
+def phase_log(monkeypatch, module, name) -> list:
+    """Wrap the phase runner `module.name` so that every phase it runs is
+    logged: its name and cost, its iterations, whether Bland's rule switched
+    on, and the basis, basic values and B^-1 it ends on."""
+    log, run = [], getattr(module, name)
+
+    def logged(B, cost, phase):
+        it, bland = run(B, cost, phase)
+        log.append((phase, cost, it, bland, B.basis.copy(), B.x.copy(), B.inv.copy()))
+        return it, bland
+
+    monkeypatch.setattr(module, name, logged)
+    return log
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """a's bit patterns with -0.0 read as +0.0."""
+    return (np.asarray(a, dtype=float) + 0.0).view(np.uint64)
+
+
+class TestPivotOracle:
+    """The simplex takes the pivots of `lemmas.oracle_simplex`, the loop
+    that the leaner pivot replaced: phase by phase the same iterations and
+    Bland's flag, the same final basis, and basic values and B^-1 equal bit
+    for bit up to the sign of exact zeros (B^-1's rank-1 step gives +0.0
+    where np.outer gave -0.0)."""
+
+    @pytest.fixture
+    def logs(self, monkeypatch):
+        return (phase_log(monkeypatch, motkit.lp, "_run_phase"),
+                phase_log(monkeypatch, lemmas, "oracle_run_phase"))
+
+    @staticmethod
+    def assert_same_phases(log, ref):
+        assert [e[0] for e in log] == [e[0] for e in ref]
+        for (_, _, it, bland, basis, x, inv), (_, _, rit, rbland, rbasis, rx, rinv) in zip(log, ref):
+            assert (it, bland) == (rit, rbland)
+            assert np.array_equal(basis, rbasis)
+            assert np.array_equal(bits(x), bits(rx))
+            assert np.array_equal(bits(inv), bits(rinv))
+
+    def solve_both(self, logs, A, b, c, start=None, feas_tol=FEAS_TOL):
+        """Solve with both loops; the results and every phase must agree.
+        Returns (status, iterations, message)."""
+        status, v, iters, msg, _ = _revised_simplex(A, b, c, start, feas_tol)
+        ref = oracle_simplex(A, b, c, start, feas_tol)
+        assert (status, iters, msg) == (ref[0], ref[2], ref[3])
+        if status == "optimal":
+            assert np.array_equal(bits(v), bits(ref[1]))
+        self.assert_same_phases(*logs)
+        return status, iters, msg
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", ["min", "max", "swap"])
+    def test_lp_oracle_pairs(self, logs, case, seed):
+        # perfbench's lp_measures pairs at the lp-oracle size, 26x52: both
+        # senses and the role-swapped pair, which phase 1 finds infeasible
+        mu, nu = spread_pair_instance(np.random.default_rng([30, seed]), 26)
+        prob = MotLp(nu, mu, 1.0) if case == "swap" else MotLp(mu, nu, 1.0, case)
+        status, iters, _ = self.solve_both(logs, prob.A, prob.b, prob.objective_vector(),
+                                           prob.start)
+        assert status == ("infeasible" if case == "swap" else "optimal")
+        assert len(logs[0]) == (1 if case == "swap" else 2) and iters > 0
+
+    def test_bland_rule_on_the_cycling_instance(self, logs):
+        # Chvatal's example of TestRevisedSimplex: Dantzig pricing stalls in
+        # phase 2, and Bland's rule finishes it (no split-grid pair of seeds
+        # 0-599 switches it on)
+        A, b, c = CHVATAL_CYCLING
+        _, _, msg = self.solve_both(logs, nonzeros(A), b, c, start=[4, 5, 6])
+        assert msg == "Bland's rule switched on in phase 2"
+
+    @pytest.mark.parametrize("eighths,seed,scale", [
+        (False, 22, 1.0), (False, 121, 1.0), (True, 435, 1.0),
+        (True, 193, 1e-6), (False, 228, 1e6)])
+    def test_split_grid_ties(self, logs, eighths, seed, scale):
+        # d = 3 pairs whose ratio tests tie often (TestRevisedSimplex's
+        # degenerate cases), in the max sense of tools/degenerate_family.py
+        mu, nu = split_grid_instance(seed, eighths)
+        mu, nu = (DiscreteMeasure(m.positions, scale * m.masses, dim=3) for m in (mu, nu))
+        prob = MotLp(mu, nu, 1.0, "max")
+        assert self.solve_both(logs, prob.A, prob.b, prob.objective_vector(),
+                               prob.start)[0] == "optimal"
+
+    @pytest.mark.parametrize("profiles", ["nu-at-0", "mu-at-0"])
+    def test_reflection_quotient_with_an_atom_at_0(self, logs, profiles):
+        pair = (overlap_profiles(2, 0.35) if profiles == "nu-at-0"
+                else hole_profiles(2, 0.02, 0.3))
+        mu, nu = induced_remainder(*pair, 91)
+        assert 0.0 in (mu if profiles == "mu-at-0" else nu).positions
+        prob = MotLp(mu, nu, 1.0, mirror=True)
+        A, b, start = prob.quotient
+        c = prob.objective_vector()[-A.shape[1]:]
+        assert self.solve_both(logs, A, b, c, start,
+                               FEAS_TOL * prob.tol_unit)[0] == "optimal"
+
+    @pytest.mark.parametrize("case", ["20x40", "segment"])
+    def test_probe_face_solve(self, logs, case):
+        # the face solve prices the columns off the optimal face at +inf
+        if case == "20x40":
+            mu, nu = spread_pair_instance(np.random.default_rng([777, 19]), 20)
+        else:   # TestUniquenessProbe's segment of optimizers
+            mu = DiscreteMeasure([-2.0, 0.0], [0.5, 0.5])
+            nu = DiscreteMeasure([-5.0, -1.0, 1.0, 3.0], [0.25, 0.375, 0.25, 0.125])
+        unique = uniqueness_probe(mu, nu, 1.0)
+        assert unique == oracle_uniqueness_probe(mu, nu, 1.0) == (case == "20x40")
+        self.assert_same_phases(*logs)
+        phase, face_cost = logs[0][-1][:2]
+        assert phase == "face solve" and np.isinf(face_cost).any()
+
+
+class TestRankOneKernel:
+    def test_einsum_products_are_np_outer_s(self):
+        # _Basis.pivot forms B^-1's rank-1 step with np.einsum("i,j->ij"),
+        # which must give np.outer's products: equal as floats everywhere,
+        # and bit for bit except at a zero product, which comes out +0.0
+        tiny = np.nextafter(0.0, 1.0)
+        special = np.array([0.0, -0.0, tiny, -tiny, 3e-310, -2.5e-308, 1e-300, -3e-300,
+                            7e-160, 1e300, -4e300, 1.5e154, -1.0, 0.5, 3.0])
+        rng = np.random.default_rng(30)
+        u = np.concatenate([special, rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)])
+        w = np.concatenate([special[::-1], rng.normal(size=33)])
+        for a, b in ((u, w), (w, u)):
+            with np.errstate(over="ignore", under="ignore"):
+                ein, out = np.einsum("i,j->ij", a, b), np.outer(a, b)
+            assert np.array_equal(ein, out)
+            zero = out == 0.0
+            assert np.signbit(out[zero]).any() and not np.signbit(ein[zero]).any()
+            assert np.array_equal(ein.view(np.uint64)[~zero], out.view(np.uint64)[~zero])
+            assert np.isinf(out).any() and (np.abs(out[out != 0.0]) < 2.3e-308).any()

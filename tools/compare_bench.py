@@ -14,8 +14,13 @@ radial-lift would report the peak lp-oracle's scipy references left in
 `run.py`. The ladder then takes the benchmark's triangular pair
 at each size in LADDER and, per side, times `motkit.solve` and
 `detect_forbidden` in-process and the `verify` command as a fresh process,
-REPEATS times each, reporting medians. Both sides run with one BLAS thread.
-Pass a seed not used while writing the change.
+REPEATS times each, reporting medians. The LP ladder takes perfbench's
+`lp_measures` pair of m source atoms, drawn at its LADDER_SEED, at each m
+in LP_LADDER and, per side, times `solve_lp` in-process in both senses,
+REPEATS times each, reporting the median, the pivots and the objective's
+`float.hex`, so that equal pivots and objectives show in the record. Both
+sides run with one BLAS thread. Pass a seed not used while writing the
+change.
 
 The script goes away once `perfbench/run.py` writes BENCH_<pr>.json itself.
 """
@@ -39,6 +44,7 @@ PAIRS = 10
 SECONDS = 30  # BENCHMARK.json run_seconds
 WORKLOADS = ("sweep-1d", "lp-oracle", "radial-lift")  # BENCHMARK.json workloads
 LADDER = (1000, 8000, 64000)
+LP_LADDER = (26, 60, 120)
 REPEATS = 3
 
 # Runs inside a checkout: times motkit.solve on the triangular pair and
@@ -72,6 +78,32 @@ for _ in range(repeats):
     times.append(perf_counter() - start)
 print(json.dumps({"entries": len(pi), "found": len(found), "times": times,
                   "solve_times": solve_times}))
+"""
+
+# Runs inside a checkout: solves perfbench's lp_measures pair of m source
+# atoms with solve_lp in both senses, `repeats` times each. Prints one JSON
+# object.
+LP_LADDER_CODE = """
+import json, sys
+from time import perf_counter
+import numpy as np
+sys.path.insert(0, "perfbench")
+import workloads
+from motkit import DiscreteMeasure
+from motkit.lp import solve_lp
+m, repeats = int(sys.argv[1]), int(sys.argv[2])
+(x, w), (y, v) = workloads.lp_measures(np.random.default_rng(workloads.LADDER_SEED), m)
+mu, nu = DiscreteMeasure(x, w), DiscreteMeasure(y, v)
+rung = {}
+for sense in ("min", "max"):
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        sol = solve_lp(mu, nu, 1.0, sense)
+        times.append(perf_counter() - start)
+    rung[sense] = {"times": times, "pivots": sol.iterations,
+                   "objective": sol.objective.hex()}
+print(json.dumps(rung))
 """
 
 
@@ -137,6 +169,15 @@ def ladder_rung(root: Path, n: int) -> dict:
             "verify_cli_s": statistics.median(walls)}
 
 
+def lp_ladder_rung(root: Path, m: int) -> dict:
+    done = subprocess.run([sys.executable, "-c", LP_LADDER_CODE, str(m), str(REPEATS)],
+                          cwd=root, env=side_env(root), capture_output=True,
+                          text=True, check=True)
+    rung = json.loads(done.stdout.strip().splitlines()[-1])
+    return {sense: {"solve_s": statistics.median(r["times"]), "pivots": r["pivots"],
+                    "objective": r["objective"]} for sense, r in rung.items()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -153,6 +194,9 @@ def main(argv=None) -> int:
             print(f"pair {k} {side} failed={runs[side][-1]['failed']}", file=sys.stderr)
     ladder = {f"tri{n}": {side: ladder_rung(root, n) for side, root in roots.items()}
               for n in LADDER}
+    lp_ladder = {f"lp{m}x{2 * m}": {side: lp_ladder_rung(root, m)
+                                    for side, root in roots.items()}
+                 for m in LP_LADDER}
 
     doc = {
         "command": (f"python3 tools/compare_bench.py --parent PARENT --change CHANGE "
@@ -164,6 +208,7 @@ def main(argv=None) -> int:
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "end_to_end": summarize(runs),
         "ladder": ladder,
+        "lp_ladder": lp_ladder,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
